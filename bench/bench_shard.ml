@@ -243,15 +243,12 @@ let run_config ~w (cfg : config) =
   in
   let prep_s = Sw_sim.Wall.elapsed_s t0 in
   let t1 = Sw_sim.Wall.now_s () in
+  let wait0 = Cloud.barrier_wait_s handle.Run.cloud in
   Cloud.run handle.Run.cloud ~until:handle.Run.until;
   let run_s = Sw_sim.Wall.elapsed_s t1 in
   let r = handle.Run.finish () in
   let windows = Snapshot.counter r.Run.metrics "sim.shard.windows" in
-  let barrier_share =
-    match Snapshot.histogram r.Run.metrics "sim.shard.barrier_wait_ns" with
-    | None -> 0.
-    | Some h -> Int64.to_float h.Snapshot.total /. 1e9 /. run_s
-  in
+  let barrier_share = (Cloud.barrier_wait_s handle.Run.cloud -. wait0) /. run_s in
   {
     cfg;
     r;

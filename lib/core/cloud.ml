@@ -263,6 +263,11 @@ let shard_engine t i = t.shards.(i).sh_engine
 let cross_shard_exchanged t =
   match t.conductor with Some c -> Conductor.exchanged c | None -> 0
 
+let barrier_wait_s t =
+  match t.conductor with
+  | Some c -> float_of_int (Conductor.barrier_wait_ns c) /. 1e9
+  | None -> 0.
+
 let total_fired t =
   Array.fold_left (fun acc sh -> acc + Engine.fired sh.sh_engine) 0 t.shards
 

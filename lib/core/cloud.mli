@@ -83,6 +83,10 @@ val shard_engine : t -> int -> Sw_sim.Engine.t
 (** Cross-shard packets exchanged at barriers so far (0 when unsharded). *)
 val cross_shard_exchanged : t -> int
 
+(** Wall-clock seconds spent waiting at shard barriers so far (see
+    {!Sw_sim.Conductor.barrier_wait_ns}; 0 when unsharded). *)
+val barrier_wait_s : t -> float
+
 (** Events fired across all shard engines. *)
 val total_fired : t -> int
 

@@ -33,11 +33,13 @@
     returns, so a conductor holds no threads while idle; the barrier is a
     hybrid sense barrier (bounded spin on atomics, then a condvar sleep).
 
-    {b Instrumentation.} Rounds, barrier wait (wall-clock, parallel driver
-    only), and per-pair exchanged-message counts are recorded on shard 0's
-    registry under [sim.shard.windows], [sim.shard.barrier_wait_ns], and
+    {b Instrumentation.} Rounds and per-pair exchanged-message counts are
+    recorded on shard 0's registry under [sim.shard.windows] and
     [sim.shard.exchanged.s<i>.s<j>] — the [sim.*] namespace every
-    byte-comparison already excludes.
+    byte-comparison already excludes. Both are deterministic, so two runs
+    of one scenario snapshot identically, [sim.*] included. Barrier wait is
+    wall clock and stays out of the registry: the conductor accumulates it
+    itself ({!barrier_wait_ns}).
 
     {b Checkpointability.} A quiescent conductor (between {!run} calls) is
     plain marshalable data: the barrier's atomics, mutex and condition
@@ -67,6 +69,11 @@ val shards : t -> int
 
 (** Cross-shard messages exchanged so far (across all barriers). *)
 val exchanged : t -> int
+
+(** Wall-clock nanoseconds the driving domain has spent waiting for the
+    other shards at barriers, summed over every {!run} so far. Always 0
+    under the sequential driver, which has no barrier. *)
+val barrier_wait_ns : t -> int
 
 (** The lookahead bound in force for [src -> dst] hops. *)
 val lookahead : t -> src:int -> dst:int -> Time.t

@@ -30,6 +30,29 @@ let scn file =
   | Some p -> p
   | None -> Filename.concat "../examples" file
 
+(* Every file a test writes lives in a directory of its own, made fresh
+   for this run and removed at exit: no test sees what another test, an
+   earlier run or another build left behind. *)
+let fresh_dirs = ref []
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let () =
+  at_exit (fun () ->
+      List.iter (fun d -> if Sys.file_exists d then remove_tree d) !fresh_dirs)
+
+let fresh_dir name =
+  let d = Filename.temp_dir "sw_ckpt_" ("_" ^ name) in
+  fresh_dirs := d :: !fresh_dirs;
+  d
+
+let fresh_file name = Filename.concat (fresh_dir name) name
+
 let load file =
   match Dsl.load_file (scn file) with
   | Ok t -> t
@@ -162,6 +185,123 @@ let test_graft_repairs_slots () =
   | Sw_net.Packet.Empty -> ()
   | _ -> Alcotest.fail "repaired payload does not match Empty"
 
+(* A synthetic graph sized and shaped so every count the walk reports is
+   known in advance: a ring of [cells] records (a cycle, each cell with a
+   [Background] block of its own, a reference to one [Background] block all
+   cells share, and a bare [Empty] slot), plus [pairs] mutually recursive
+   closure pairs, reached through both functions, that capture a
+   [Background] payload. *)
+type cell = {
+  own : Sw_net.Packet.payload;
+  shared : Sw_net.Packet.payload;
+  empty : Sw_net.Packet.payload;
+  mutable next : cell option;
+}
+
+type graph = {
+  ring : cell array;
+  evens : (int -> Sw_net.Packet.payload) array;
+  odds : (int -> Sw_net.Packet.payload) array;
+}
+
+let closure_pair p =
+  let rec even n = if n = 0 then p else odd (n - 1)
+  and odd n = if n = 0 then Sw_net.Packet.Empty else even (n - 1) in
+  (even, odd)
+
+let synthetic_graph ~cells ~pairs =
+  let shared = Sw_net.Packet.Background (Sys.opaque_identity (-1)) in
+  let ring =
+    Array.init cells (fun i ->
+        { own = Sw_net.Packet.Background i; shared; empty = Sw_net.Packet.Empty;
+          next = None })
+  in
+  Array.iteri (fun i c -> c.next <- Some ring.((i + 1) mod cells)) ring;
+  let closures = Array.init pairs (fun j -> closure_pair (Sw_net.Packet.Background j)) in
+  { ring; evens = Array.map fst closures; odds = Array.map snd closures }
+
+let marshal_round_trip (v : 'a) : 'a =
+  Marshal.from_string (Marshal.to_string v [ Marshal.Closures ]) 0
+
+let repair_exn v =
+  match Graft.repair (Obj.repr v) with
+  | Ok stats -> stats
+  | Error names -> Alcotest.failf "unregistered slots: %s" (String.concat ", " names)
+
+(* Past the visited set's initial capacity, through cycles, sharing and
+   infix pointers, the walk counts every scannable block exactly once and
+   patches every slot reference exactly once — and the repaired graph
+   pattern-matches again. *)
+let test_graft_synthetic_graph () =
+  let cells = 40_000 and pairs = 1_000 in
+  let live = synthetic_graph ~cells ~pairs in
+  Alcotest.(check bool) "odd is an infix pointer" true
+    (Obj.tag (Obj.repr live.odds.(0)) = Obj.infix_tag);
+  let g = marshal_round_trip live in
+  let stats = repair_exn g in
+  (* Blocks: the root and its three arrays; per cell its record, its
+     [Some] box and its own payload; the shared payload; per pair one
+     closure block (both functions point into it) and its payload. The
+     slots themselves are patched, never visited. *)
+  Alcotest.(check int) "visited" (4 + (3 * cells) + 1 + (2 * pairs))
+    stats.Graft.visited;
+  (* Slot references: per cell [own]'s and [empty]; the shared payload's
+     once; per pair its payload's. *)
+  Alcotest.(check int) "patched" ((2 * cells) + 1 + pairs) stats.Graft.patched;
+  Array.iteri
+    (fun i c ->
+      (match c.own with
+      | Sw_net.Packet.Background j when j = i -> ()
+      | _ -> Alcotest.failf "cell %d: own payload does not match" i);
+      (match c.empty with
+      | Sw_net.Packet.Empty -> ()
+      | _ -> Alcotest.failf "cell %d: Empty does not match" i);
+      match c.next with
+      | Some n when n == g.ring.((i + 1) mod cells) -> ()
+      | _ -> Alcotest.failf "cell %d: ring link lost" i)
+    g.ring;
+  Alcotest.(check bool) "shared payload stays shared" true
+    (Array.for_all (fun c -> c.shared == g.ring.(0).shared) g.ring);
+  (match g.ring.(0).shared with
+  | Sw_net.Packet.Background -1 -> ()
+  | _ -> Alcotest.fail "shared payload does not match");
+  Array.iteri
+    (fun j odd ->
+      match (g.evens.(j) 2, odd 1) with
+      | Sw_net.Packet.Background a, Sw_net.Packet.Background b
+        when a = j && b = j -> ()
+      | _ -> Alcotest.failf "closure pair %d: captured payload does not match" j)
+    g.odds;
+  (* Everything is live now: a second walk sees the same blocks and has
+     nothing left to patch. *)
+  let again = repair_exn g in
+  Alcotest.(check int) "second walk visits the same" stats.Graft.visited
+    again.Graft.visited;
+  Alcotest.(check int) "second walk patches nothing" 0 again.Graft.patched
+
+(* Never registered with [Graft]: a restored graph carrying it cannot be
+   trusted. *)
+type Sw_net.Packet.payload += Stray of int
+
+let test_graft_unregistered_slot () =
+  let stray = Obj.Extension_constructor.name [%extension_constructor Stray] in
+  let g =
+    marshal_round_trip
+      (Array.init 500 (fun i ->
+           if i mod 2 = 0 then Stray i else Sw_net.Packet.Background i))
+  in
+  (match Graft.repair (Obj.repr g) with
+  | Ok _ -> Alcotest.fail "unregistered slot accepted"
+  | Error names -> Alcotest.(check (list string)) "named once" [ stray ] names);
+  (* The walk still finished: every registered slot was repaired. *)
+  Array.iteri
+    (fun i p ->
+      match p with
+      | Sw_net.Packet.Background j when i mod 2 = 1 && j = i -> ()
+      | _ when i mod 2 = 0 -> ()
+      | _ -> Alcotest.failf "payload %d not repaired" i)
+    g
+
 (* --- image framing --------------------------------------------------------- *)
 
 let meta ~index ~sim_ns =
@@ -195,8 +335,9 @@ let expect_read_error path check =
 
 let test_image_roundtrip () =
   let payload = String.init 4096 (fun i -> Char.chr (i * 31 mod 256)) in
-  write_exn "img_ok.img" ~payload;
-  match Image.read ~path:"img_ok.img" with
+  let path = fresh_file "ok.img" in
+  write_exn path ~payload;
+  match Image.read ~path with
   | Error e -> Alcotest.failf "read failed: %s" (Image.error_to_string e)
   | Ok (m, p) ->
       Alcotest.(check string) "payload" payload p;
@@ -205,47 +346,50 @@ let test_image_roundtrip () =
 
 let test_image_truncated () =
   let payload = String.make 2048 'x' in
-  write_exn "img_trunc.img" ~payload;
-  let bytes = read_file "img_trunc.img" in
+  let path = fresh_file "trunc.img" in
+  write_exn path ~payload;
+  let bytes = read_file path in
   (* Cut inside the payload, inside the header, and inside the preamble. *)
   List.iter
     (fun keep ->
-      write_file "img_trunc.img" (String.sub bytes 0 keep);
-      expect_read_error "img_trunc.img" (function
+      write_file path (String.sub bytes 0 keep);
+      expect_read_error path (function
         | Image.Truncated -> true
         | _ -> false))
     [ String.length bytes - 100; 40; 3 ]
 
 let test_image_corrupt () =
   let payload = String.make 2048 'x' in
-  write_exn "img_corrupt.img" ~payload;
-  let bytes = Bytes.of_string (read_file "img_corrupt.img") in
+  let path = fresh_file "corrupt.img" in
+  write_exn path ~payload;
+  let bytes = Bytes.of_string (read_file path) in
   let last = Bytes.length bytes - 1 in
   Bytes.set bytes last (Char.chr (Char.code (Bytes.get bytes last) lxor 1));
-  write_file "img_corrupt.img" (Bytes.to_string bytes);
-  expect_read_error "img_corrupt.img" (function
+  write_file path (Bytes.to_string bytes);
+  expect_read_error path (function
     | Image.Corrupt _ -> true
     | _ -> false)
 
 let test_image_version_and_magic () =
-  write_exn "img_vers.img" ~payload:"p";
-  let bytes = read_file "img_vers.img" in
+  let path = fresh_file "vers.img" in
+  write_exn path ~payload:"p";
+  let bytes = read_file path in
   (* Bytes 6-7 are the two ASCII version digits. *)
   let bumped = Bytes.of_string bytes in
   Bytes.blit_string "99" 0 bumped 6 2;
-  write_file "img_vers.img" (Bytes.to_string bumped);
-  expect_read_error "img_vers.img" (function
+  write_file path (Bytes.to_string bumped);
+  expect_read_error path (function
     | Image.Version_mismatch { found = 99; expected = 1 } -> true
     | _ -> false);
-  write_file "img_vers.img" ("XXXXXX" ^ String.sub bytes 6 (String.length bytes - 6));
-  expect_read_error "img_vers.img" (function
+  write_file path ("XXXXXX" ^ String.sub bytes 6 (String.length bytes - 6));
+  expect_read_error path (function
     | Image.Bad_magic -> true
     | _ -> false)
 
 (* A crash mid-write must never cost the timeline: writes go to a temp
    file first, and recovery walks past any half-written newer image. *)
 let test_store_crash_mid_write () =
-  let dir = "store_crash" in
+  let dir = fresh_dir "store_crash" in
   (match Store.ensure_dir dir with
   | Ok () -> ()
   | Error e -> Alcotest.failf "ensure_dir: %s" (Image.error_to_string e));
@@ -288,11 +432,12 @@ let soak_exn ?kill_after ~dir scenario =
    must end with a report byte-identical to one uninterrupted run. *)
 let test_soak_survives_kills () =
   let scenario = soak_scenario ~name:"soak-kill" ~seed:11L () in
-  let uninterrupted = soak_exn ~dir:"soak_straight" scenario in
+  let uninterrupted = soak_exn ~dir:(fresh_dir "soak_straight") scenario in
+  let crashed = fresh_dir "soak_crashed" in
   let rec crash_loop n =
     if n > 50 then Alcotest.fail "soak never finished"
     else
-      match run_soak ~kill_after:1 ~dir:"soak_crashed" scenario with
+      match run_soak ~kill_after:1 ~dir:crashed scenario with
       | exception Soak.Killed _ -> crash_loop (n + 1)
       | Ok o -> o
       | Error e ->
@@ -315,7 +460,7 @@ let test_soak_survives_kills () =
    falls back to a rebuild. *)
 let test_warm_build_then_restore () =
   let w = datacenter_workload () in
-  let dir = "warm_cache" in
+  let dir = fresh_dir "warm_cache" in
   let key = "warm-test:shards=2" in
   let builds = ref 0 in
   let build () =
@@ -355,8 +500,9 @@ let test_warm_build_then_restore () =
 let test_soak_wrong_scenario () =
   let a = soak_scenario ~name:"soak-owner" ~seed:1L () in
   let b = soak_scenario ~name:"soak-owner" ~seed:2L () in
-  ignore (soak_exn ~dir:"soak_owned" a);
-  match run_soak ~dir:"soak_owned" b with
+  let dir = fresh_dir "soak_owned" in
+  ignore (soak_exn ~dir a);
+  match run_soak ~dir b with
   | Error (Soak.Wrong_scenario _) -> ()
   | Ok _ -> Alcotest.fail "foreign scenario resumed"
   | Error e ->
@@ -366,14 +512,15 @@ let test_soak_wrong_scenario () =
    back to the previous valid image and still finishes identically. *)
 let test_soak_falls_back_past_corrupt_image () =
   let scenario = soak_scenario ~name:"soak-corrupt" ~seed:3L () in
-  let reference = soak_exn ~dir:"soak_ref" scenario in
-  (match run_soak ~kill_after:3 ~dir:"soak_cut" scenario with
+  let reference = soak_exn ~dir:(fresh_dir "soak_ref") scenario in
+  let cut = fresh_dir "soak_cut" in
+  (match run_soak ~kill_after:3 ~dir:cut scenario with
   | exception Soak.Killed _ -> ()
   | _ -> Alcotest.fail "kill_after did not fire");
-  let newest = Store.path "soak_cut" ~index:2 in
+  let newest = Store.path cut ~index:2 in
   let bytes = read_file newest in
   write_file newest (String.sub bytes 0 (String.length bytes - 64));
-  let resumed = soak_exn ~dir:"soak_cut" scenario in
+  let resumed = soak_exn ~dir:cut scenario in
   Alcotest.(check (option int)) "resumed from the previous image" (Some 1)
     resumed.Soak.resumed_from;
   Alcotest.(check int) "the corrupt image was reported" 1
@@ -393,9 +540,10 @@ let test_bisect_finds_planted_divergence () =
     soak_scenario ~name ~seed:5L
       ~faults:[ slowdown ~at_ms:250 ~factor ] ()
   in
-  ignore (soak_exn ~dir:"bisect_a" (mk 1.0 "bisect"));
-  ignore (soak_exn ~dir:"bisect_b" (mk 2.0 "bisect"));
-  match Bisect.first_divergence ~a:"bisect_a" ~b:"bisect_b" with
+  let a = fresh_dir "bisect_a" and b = fresh_dir "bisect_b" in
+  ignore (soak_exn ~dir:a (mk 1.0 "bisect"));
+  ignore (soak_exn ~dir:b (mk 2.0 "bisect"));
+  match Bisect.first_divergence ~a ~b with
   | Error e ->
       Alcotest.failf "bisect: %s" (Format.asprintf "%a" Bisect.pp_error e)
   | Ok d ->
@@ -416,9 +564,10 @@ let test_bisect_finds_planted_divergence () =
 
 let test_bisect_agreement_is_not_divergence () =
   let scenario = soak_scenario ~name:"bisect-same" ~seed:9L () in
-  ignore (soak_exn ~dir:"bisect_same_a" scenario);
-  ignore (soak_exn ~dir:"bisect_same_b" scenario);
-  match Bisect.first_divergence ~a:"bisect_same_a" ~b:"bisect_same_b" with
+  let a = fresh_dir "bisect_same_a" and b = fresh_dir "bisect_same_b" in
+  ignore (soak_exn ~dir:a scenario);
+  ignore (soak_exn ~dir:b scenario);
+  match Bisect.first_divergence ~a ~b with
   | Error (Bisect.No_divergence { compared }) ->
       Alcotest.(check bool) "compared several" true (compared > 2)
   | Ok _ -> Alcotest.fail "identical runs reported divergent"
@@ -474,6 +623,10 @@ let () =
             test_sharded_roundtrip;
           Alcotest.test_case "graft repairs marshalled slots" `Quick
             test_graft_repairs_slots;
+          Alcotest.test_case "graft walks cycles, sharing, infix closures"
+            `Quick test_graft_synthetic_graph;
+          Alcotest.test_case "graft names an unregistered slot once" `Quick
+            test_graft_unregistered_slot;
         ] );
       ( "image",
         [
