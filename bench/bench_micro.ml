@@ -62,7 +62,7 @@ let counter_incr =
 let histogram_observe =
   let registry = Sw_obs.Registry.create () in
   let h = Sw_obs.Registry.histogram registry "bench.histogram" in
-  fun () -> Sw_obs.Registry.Histogram.observe h 12_345L
+  fun () -> Sw_obs.Registry.Histogram.observe h 12_345
 
 let ping_cloud () =
   (* One full StopWatch delivery round trip. *)

@@ -25,7 +25,7 @@ let run () =
   Stopwatch.Host.after client (Time.ms 100) (fun () ->
       Stopwatch.Host.send client ~dst:(Cloud.vm_address d) ~size:100
         (Sw_apps.Probe.Probe_ping 1));
-  let now () = Sw_sim.Engine.now (Cloud.engine cloud) in
+  let now () = Int64.of_int (Sw_sim.Engine.now (Cloud.engine cloud)) in
   Trace.span trace ~now ~name:"fig2.simulation" (fun () ->
       Cloud.run cloud ~until:(Time.ms 400));
   (* Keep the protocol steps (proposals, median adoption, delivery) and the

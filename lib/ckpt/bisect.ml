@@ -16,7 +16,7 @@ type metric_diff = string * string option * string option
 
 type divergence = {
   index : int;
-  sim_ns : int64;
+  sim_ns : Sw_sim.Time.t;
   last_common : int option;
   metric_diff : metric_diff list;
   first_event :
@@ -27,7 +27,7 @@ type divergence = {
 type error =
   | Empty_timeline of string
   | No_common_index
-  | Grid_mismatch of { index : int; a_ns : int64; b_ns : int64 }
+  | Grid_mismatch of { index : int; a_ns : Sw_sim.Time.t; b_ns : Sw_sim.Time.t }
   | No_divergence of { compared : int }
   | Image_error of { path : string; error : Image.error }
   | Unloadable of { path : string; reason : string }
@@ -38,7 +38,7 @@ let pp_error fmt = function
       Format.fprintf fmt "the two timelines share no checkpoint index"
   | Grid_mismatch { index; a_ns; b_ns } ->
       Format.fprintf fmt
-        "checkpoint %d sits at %Ldns on one side, %Ldns on the other: \
+        "checkpoint %d sits at %dns on one side, %dns on the other: \
          different checkpoint intervals"
         index a_ns b_ns
   | No_divergence { compared } ->
@@ -240,7 +240,7 @@ let pp_entry_opt fmt = function
   | None -> Format.pp_print_string fmt "(trace ended)"
 
 let pp_divergence fmt d =
-  Format.fprintf fmt "first divergent checkpoint: #%d at %Ldns" d.index
+  Format.fprintf fmt "first divergent checkpoint: #%d at %dns" d.index
     d.sim_ns;
   (match d.last_common with
   | Some i -> Format.fprintf fmt " (last agreement: #%d)" i

@@ -3,7 +3,7 @@ type meta = {
   seed : int64;
   shards : int;
   index : int;
-  sim_ns : int64;
+  sim_ns : Sw_sim.Time.t;
   fingerprint : string;
   payload_digest : Digest.t;
   payload_len : int;
@@ -28,7 +28,10 @@ let pp_error fmt = function
 let error_to_string e = Format.asprintf "%a" pp_error e
 
 let magic = "SWCKPT"
-let version = 1
+
+(* v2: [meta.sim_ns] is an immediate int ([Sw_sim.Time.t]), no longer a
+   boxed int64, so a v1 header would unmarshal to the wrong value. *)
+let version = 2
 
 (* magic + 2 version digits + 8-byte big-endian header length *)
 let preamble_len = String.length magic + 2 + 8

@@ -27,7 +27,7 @@ type meta = {
   seed : int64;
   shards : int;
   index : int;  (** Position in the checkpoint timeline, from 0. *)
-  sim_ns : int64;  (** Simulated instant of capture. *)
+  sim_ns : Sw_sim.Time.t;  (** Simulated instant of capture. *)
   fingerprint : string;
       (** Digest of the shard-layout-independent state summary at capture
           ([Bisect.fingerprint]); equal fingerprints at equal indexes mean

@@ -124,10 +124,9 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
           in
           let clock_offset =
             if Time.equal clock_spread Time.zero then Time.zero
-            else begin
-              let bound = Int64.to_int clock_spread in
-              Time.ns (Sw_sim.Prng.int hw_rng ((2 * bound) + 1) - bound)
-            end
+            else
+              Time.ns
+                (Sw_sim.Prng.int hw_rng ((2 * clock_spread) + 1) - clock_spread)
           in
           Sw_vmm.Machine.create engine network ~id ~config ~rate_multiplier
             ~clock_offset ())
@@ -205,10 +204,9 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
           in
           let clock_offset =
             if Time.equal clock_spread Time.zero then Time.zero
-            else begin
-              let bound = Int64.to_int clock_spread in
-              Time.ns (Sw_sim.Prng.int hw_rng ((2 * bound) + 1) - bound)
-            end
+            else
+              Time.ns
+                (Sw_sim.Prng.int hw_rng ((2 * clock_spread) + 1) - clock_spread)
           in
           let sh = shard_arr.(block.(id)) in
           Sw_vmm.Machine.create sh.sh_engine sh.sh_network ~id ~config
@@ -534,7 +532,7 @@ let conductor t =
       let global =
         Array.fold_left
           (fun acc sh -> Time.min acc (Sw_net.Network.min_latency sh.sh_network))
-          Int64.max_int t.shards
+          max_int t.shards
       in
       let c =
         match t.lookahead_mode with

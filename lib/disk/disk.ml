@@ -37,6 +37,7 @@ type t = {
   per_vm : (int, Registry.Counter.t) Hashtbl.t;
   m_busy_ns : Registry.Counter.t;
   m_service : Registry.Histogram.t;
+  k_complete : Engine.kind;
   p_complete : Sw_obs.Profile.timer;
 }
 
@@ -52,6 +53,7 @@ let create engine ?(params = default_params) ?(path = "disk") () =
     per_vm = Hashtbl.create 8;
     m_busy_ns = Registry.counter metrics (path ^ ".busy_ns");
     m_service = Registry.histogram metrics (path ^ ".service_ns");
+    k_complete = Engine.kind engine "disk.complete";
     p_complete = Sw_obs.Profile.timer (Engine.profile engine) "disk.complete";
   }
 
@@ -68,7 +70,7 @@ let vm_counter t vm =
 
 let draw_upto rng limit =
   if Time.equal limit Time.zero then Time.zero
-  else Time.ns (Sw_sim.Prng.int rng (1 + Int64.to_int limit))
+  else Time.ns (Sw_sim.Prng.int rng (1 + limit))
 
 let service_time t ~bytes ~sequential =
   let p = t.params in
@@ -93,12 +95,11 @@ let submit t ~vm ~kind:_ ~bytes ~sequential k =
   let start = Time.max now t.free_at in
   let finish = Time.add start service in
   t.free_at <- finish;
-  (* [Time.t] is int64 nanoseconds; simulated durations fit OCaml's int. *)
-  Registry.Counter.add t.m_busy_ns (Int64.to_int service);
+  Registry.Counter.add t.m_busy_ns service;
   Registry.Histogram.observe t.m_service service;
   let vm_completed = vm_counter t vm in
   ignore
-    (Engine.schedule_at ~kind:"disk.complete" t.engine finish (fun () ->
+    (Engine.schedule_at ~kind:t.k_complete t.engine finish (fun () ->
          Registry.Counter.incr t.m_completed;
          Registry.Counter.incr vm_completed;
          Sw_obs.Profile.time (Engine.profile t.engine) t.p_complete k))
@@ -113,5 +114,5 @@ let completed_for t ~vm =
 let busy_time t = Time.ns (Registry.Counter.value t.m_busy_ns)
 
 let max_service_time t =
-  let m = Registry.Histogram.max t.m_service in
-  if Int64.equal m Int64.min_int then Time.zero else m
+  if Registry.Histogram.count t.m_service = 0 then Time.zero
+  else Int64.to_int (Registry.Histogram.max t.m_service)

@@ -6,7 +6,12 @@ type t =
   | Egress
   | Broadcast_addr
 
-let equal = Stdlib.( = )
+let equal a b =
+  match (a, b) with
+  | Vm x, Vm y | Vmm x, Vmm y | Host x, Host y -> Int.equal x y
+  | Ingress, Ingress | Egress, Egress | Broadcast_addr, Broadcast_addr -> true
+  | (Vm _ | Vmm _ | Host _ | Ingress | Egress | Broadcast_addr), _ -> false
+
 let compare = Stdlib.compare
 let hash = Hashtbl.hash
 

@@ -1,18 +1,21 @@
+module Int_table = Sw_sim.Int_table
+
 type vm_entry = {
   mutable replicas : int;
   (* Copies received so far and a structural digest of the first copy,
      keyed by the guest's deterministic packet sequence number. *)
-  pending : (int, int * int) Hashtbl.t;
+  pending : (int * int) Int_table.t;
 }
 
 type t = {
   network : Network.t;
-  vms : (int, vm_entry) Hashtbl.t;
+  vms : vm_entry Int_table.t;
   vote_expiry : Sw_sim.Time.t option;
   m_forwarded : Sw_obs.Registry.Counter.t;
   m_dropped : Sw_obs.Registry.Counter.t;
   m_mismatches : Sw_obs.Registry.Counter.t;
   m_expired : Sw_obs.Registry.Counter.t;
+  k_expire : Sw_sim.Engine.kind;
   mutable tap : (vm:int -> Packet.t -> Sw_sim.Time.t -> unit) option;
   mutable trace : Sw_obs.Trace.t option;
 }
@@ -29,23 +32,23 @@ let schedule_expiry t entry key =
   | Some span ->
       let engine = Network.engine t.network in
       ignore
-        (Sw_sim.Engine.schedule_after ~kind:"egress.expire" engine span
+        (Sw_sim.Engine.schedule_after ~kind:t.k_expire engine span
            (fun () ->
-             if Hashtbl.mem entry.pending key then begin
-               Hashtbl.remove entry.pending key;
+             if Int_table.mem entry.pending key then begin
+               Int_table.remove entry.pending key;
                Sw_obs.Registry.Counter.incr t.m_expired
              end))
 
 let handle t (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Packet.Egress_tunnel { vm; inner; _ } -> (
-      match Hashtbl.find_opt t.vms vm with
+      match Int_table.find_opt t.vms vm with
       | None -> Sw_obs.Registry.Counter.incr t.m_dropped
       | Some entry ->
           let key = inner.Packet.seq in
           let digest = Hashtbl.hash (inner.Packet.dst, inner.Packet.size, inner.Packet.payload) in
           let seen, first_digest =
-            match Hashtbl.find_opt entry.pending key with
+            match Int_table.find_opt entry.pending key with
             | Some (n, d) -> (n, d)
             | None -> (0, digest)
           in
@@ -54,15 +57,15 @@ let handle t (pkt : Packet.t) =
           if digest <> first_digest then Sw_obs.Registry.Counter.incr t.m_mismatches;
           let seen = seen + 1 in
           let release_rank = (entry.replicas + 1) / 2 in
-          if seen >= entry.replicas then Hashtbl.remove entry.pending key
-          else Hashtbl.replace entry.pending key (seen, first_digest);
+          if seen >= entry.replicas then Int_table.remove entry.pending key
+          else Int_table.replace entry.pending key (seen, first_digest);
           if seen = 1 && seen < entry.replicas then
             schedule_expiry t entry key;
           if seen = release_rank then begin
             Sw_obs.Registry.Counter.incr t.m_forwarded;
             if Sw_obs.Trace.active t.trace then
               Sw_obs.Trace.emit (Option.get t.trace)
-                ~at_ns:(Sw_sim.Engine.now (Network.engine t.network))
+                ~at_ns:(Int64.of_int (Sw_sim.Engine.now (Network.engine t.network)))
                 (Sw_obs.Event.Egress_released
                    { vm; seq = key; rank = release_rank; copies = entry.replicas });
             (match t.tap with
@@ -77,12 +80,13 @@ let create ?vote_expiry network =
   let t =
     {
       network;
-      vms = Hashtbl.create 16;
+      vms = Int_table.create 16;
       vote_expiry;
       m_forwarded = Sw_obs.Registry.counter metrics "net.egress.forwarded";
       m_dropped = Sw_obs.Registry.counter metrics "net.egress.dropped";
       m_mismatches = Sw_obs.Registry.counter metrics "net.egress.mismatches";
       m_expired = Sw_obs.Registry.counter metrics "net.egress.expired_votes";
+      k_expire = Sw_sim.Engine.kind (Network.engine network) "egress.expire";
       tap = None;
       trace = None;
     }
@@ -98,7 +102,7 @@ let check_replicas ~fn replicas =
 
 let register_vm t ~vm ~replicas =
   check_replicas ~fn:"Egress.register_vm" replicas;
-  Hashtbl.replace t.vms vm { replicas; pending = Hashtbl.create 64 }
+  Int_table.replace t.vms vm { replicas; pending = Int_table.create 64 }
 
 (* Degradation support: when the replica group ejects members, the egress
    must vote over the new quorum size or it would wait forever for copies
@@ -107,16 +111,16 @@ let register_vm t ~vm ~replicas =
    sweep. *)
 let set_replicas t ~vm ~replicas =
   check_replicas ~fn:"Egress.set_replicas" replicas;
-  match Hashtbl.find_opt t.vms vm with
+  match Int_table.find_opt t.vms vm with
   | None -> invalid_arg "Egress.set_replicas: unknown vm"
   | Some entry -> entry.replicas <- replicas
 
 let pending_votes t ~vm =
-  match Hashtbl.find_opt t.vms vm with
+  match Int_table.find_opt t.vms vm with
   | None -> 0
-  | Some entry -> Hashtbl.length entry.pending
+  | Some entry -> Int_table.length entry.pending
 
-let unregister_vm t ~vm = Hashtbl.remove t.vms vm
+let unregister_vm t ~vm = Int_table.remove t.vms vm
 let forwarded t = Sw_obs.Registry.Counter.value t.m_forwarded
 let dropped t = Sw_obs.Registry.Counter.value t.m_dropped
 let mismatches t = Sw_obs.Registry.Counter.value t.m_mismatches

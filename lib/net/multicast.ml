@@ -1,5 +1,6 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
+module Int_table = Sw_sim.Int_table
 
 type Packet.payload +=
   | Mcast_data of { group : int; mseq : int; inner : Packet.payload }
@@ -34,7 +35,7 @@ type group = {
    the receiver forever. *)
 type rx = {
   mutable next_expected : int;
-  buffered : (int, Packet.t) Hashtbl.t;
+  buffered : Packet.t Int_table.t;
   mutable nak_attempt : int;  (** 0 = no cycle outstanding; else attempt #. *)
   mutable nak_at : int;  (** [next_expected] when the current gap was first NAKed. *)
   mutable nak_through : int;  (** Highest mseq known to exist from this sender. *)
@@ -46,7 +47,7 @@ type endpoint = {
   transmit : Packet.t -> unit;
   deliver : Packet.t -> unit;
   (* Sent history for retransmission, keyed by mseq. *)
-  history : (int, Packet.t) Hashtbl.t;
+  history : Packet.t Int_table.t;
   mutable next_mseq : int;
   rx_states : (Address.t, rx) Hashtbl.t;
   mutable partitioned : bool;
@@ -117,7 +118,7 @@ let endpoint g ~self ?transmit ~deliver () =
       self;
       transmit;
       deliver;
-      history = Hashtbl.create 64;
+      history = Int_table.create 64;
       next_mseq = 0;
       rx_states = Hashtbl.create 8;
       partitioned = false;
@@ -148,7 +149,7 @@ let publish e ~size payload =
         Packet.make ~src:e.self ~dst ~size ~seq:(Network.fresh_seq e.g.network)
           wrapped
       in
-      Hashtbl.replace e.history mseq pkt;
+      Int_table.replace e.history mseq pkt;
       xmit e pkt)
     (peers e)
 
@@ -157,7 +158,7 @@ let rx_state e origin =
   | Some rx -> rx
   | None ->
       let rx =
-        { next_expected = 0; buffered = Hashtbl.create 8;
+        { next_expected = 0; buffered = Int_table.create 8;
           nak_attempt = 0; nak_at = 0; nak_through = -1 }
       in
       Hashtbl.add e.rx_states origin rx;
@@ -165,10 +166,10 @@ let rx_state e origin =
 
 (* Deliver any in-order buffered packets for this sender. *)
 let rec flush e rx =
-  match Hashtbl.find_opt rx.buffered rx.next_expected with
+  match Int_table.find_opt rx.buffered rx.next_expected with
   | None -> ()
   | Some pkt ->
-      Hashtbl.remove rx.buffered rx.next_expected;
+      Int_table.remove rx.buffered rx.next_expected;
       rx.next_expected <- rx.next_expected + 1;
       e.deliver pkt;
       flush e rx
@@ -180,7 +181,7 @@ let rec flush e rx =
 let abandon_gap e rx =
   Sw_obs.Registry.Counter.incr e.m_abandoned;
   let smallest =
-    Hashtbl.fold
+    Int_table.fold
       (fun mseq _ acc ->
         match acc with Some m when m <= mseq -> acc | _ -> Some mseq)
       rx.buffered None
@@ -251,7 +252,7 @@ let handle e (pkt : Packet.t) =
         let rx = rx_state e pkt.src in
         if mseq < rx.next_expected then () (* duplicate *)
         else begin
-          Hashtbl.replace rx.buffered mseq (unwrap_data pkt ~mseq ~inner);
+          Int_table.replace rx.buffered mseq (unwrap_data pkt ~mseq ~inner);
           if mseq > rx.next_expected then
             request_missing e pkt.src rx ~through:(mseq - 1);
           flush e rx
@@ -261,7 +262,7 @@ let handle e (pkt : Packet.t) =
       if group <> e.g.group_id then ()
       else
         for mseq = from_mseq to to_mseq do
-          match Hashtbl.find_opt e.history mseq with
+          match Int_table.find_opt e.history mseq with
           | None -> ()
           | Some original ->
               Sw_obs.Registry.Counter.incr e.m_retransmissions;

@@ -93,6 +93,7 @@ type t = {
   m_lost : Registry.Counter.t;
   m_fault_lost : Registry.Counter.t;
   p_deliver : Sw_obs.Profile.timer;
+  k_deliver : Engine.kind;
 }
 
 let pair_metric ~src ~dst =
@@ -121,6 +122,7 @@ let create ?stream_seed engine ~default =
     m_lost = Registry.counter metrics "net.lost";
     m_fault_lost = Registry.counter metrics "net.fault.lost";
     p_deliver = Sw_obs.Profile.timer (Engine.profile engine) "net.deliver";
+    k_deliver = Engine.kind engine "net.deliver";
   }
 
 let engine t = t.engine
@@ -146,10 +148,13 @@ let set_fault_to t addr = function
   | None -> Addr_tbl.remove t.fault_to addr
 
 let disturbance_for t target =
-  match (t.fault_all, Addr_tbl.find_opt t.fault_to target) with
-  | None, None -> None
-  | (Some _ as d), None | None, (Some _ as d) -> d
-  | Some a, Some b -> Some (combine_disturbance a b)
+  match t.fault_all with
+  | None when Addr_tbl.length t.fault_to = 0 -> None
+  | all -> (
+      match (all, Addr_tbl.find_opt t.fault_to target) with
+      | None, None -> None
+      | (Some _ as d), None | None, (Some _ as d) -> d
+      | Some a, Some b -> Some (combine_disturbance a b))
 
 let link_state t pair =
   match Pair_tbl.find_opt t.link_states pair with
@@ -232,7 +237,7 @@ let deliver_via t ~target (pkt : Packet.t) =
     state.busy_until <- depart;
     let jitter =
       if Time.equal p.jitter Time.zero then Time.zero
-      else Time.ns (Sw_sim.Prng.int state.rng (1 + Int64.to_int p.jitter))
+      else Time.ns (Sw_sim.Prng.int state.rng (1 + p.jitter))
     in
     let extra_latency =
       match dist with Some d -> d.extra_latency | None -> Time.zero
@@ -255,7 +260,7 @@ let deliver_via t ~target (pkt : Packet.t) =
         | None -> Registry.Counter.incr t.m_undeliverable
         | Some handler ->
             ignore
-              (Engine.schedule_at ~kind:"net.deliver" t.engine arrive (fun () ->
+              (Engine.schedule_at ~kind:t.k_deliver t.engine arrive (fun () ->
                    Registry.Counter.incr t.m_delivered;
                    Registry.Counter.incr (pair_counter t (pkt.src, pkt.dst));
                    Sw_obs.Profile.time

@@ -17,17 +17,24 @@ let bounds =
 
 let count = Array.length bounds
 
+(* The same ladder as immediates, searched by [index]: the catch-all's
+   bound becomes [max_int], which no int exceeds. *)
+let int_bounds =
+  Array.mapi
+    (fun i b -> if i = count - 1 then max_int else Int64.to_int b)
+    bounds
+
 let bound i =
   if i < 0 || i >= count then invalid_arg "Buckets.bound: index out of range";
   bounds.(i)
 
-let index v =
+let index (v : int) =
   (* Binary search for the first bound >= v. *)
   let rec go lo hi =
     if lo >= hi then lo
     else begin
       let mid = (lo + hi) / 2 in
-      if Int64.compare bounds.(mid) v >= 0 then go lo mid else go (mid + 1) hi
+      if int_bounds.(mid) >= v then go lo mid else go (mid + 1) hi
     end
   in
-  if Int64.compare v 1L <= 0 then 0 else go 0 (count - 1)
+  if v <= 1 then 0 else go 0 (count - 1)

@@ -16,4 +16,4 @@ val bound : int -> int64
 
 (** [index v] is the bucket holding [v]: the smallest [i] with
     [v <= bound i]. Negative values land in bucket 0. *)
-val index : int64 -> int
+val index : int -> int

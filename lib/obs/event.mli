@@ -5,8 +5,9 @@
     Rendering happens only when a consumer prints the event (e.g. the Fig. 2
     protocol trace), so emitting into a disabled {!Trace} costs a branch and
     no allocation at well-written call sites (guard with {!Trace.active}
-    before constructing the payload). Timestamps are int64 nanoseconds — the
-    representation of [Sw_sim.Time.t]. *)
+    before constructing the payload). Timestamps are int64 nanoseconds, a
+    fixed-width export type: emitters convert [Sw_sim.Time.t] (an
+    immediate int) inside their trace guard. *)
 
 type divergence_kind =
   | Late_median  (** The adopted median was already in this replica's past. *)

@@ -58,7 +58,8 @@ let hist_of_lags lags =
   let h =
     List.fold_left
       (fun h v ->
-        let i = Buckets.index v in
+        (* Lags are differences of simulated instants, so they fit an int. *)
+        let i = Buckets.index (Int64.to_int v) in
         counts.(i) <- counts.(i) + 1;
         {
           h with

@@ -26,35 +26,38 @@ module Gauge = struct
 end
 
 module Histogram = struct
+  (* Immediate ints throughout, so [observe] allocates nothing. [min] and
+     [max] start at [max_int]/[min_int]; only [count = 0] says they are
+     unset, and the int64 views report the export sentinels then. *)
   type t = {
     buckets : int array;
     mutable count : int;
-    mutable total : int64;
-    mutable min : int64;
-    mutable max : int64;
+    mutable total : int;
+    mutable min : int;
+    mutable max : int;
   }
 
   let make () =
     {
       buckets = Array.make Buckets.count 0;
       count = 0;
-      total = 0L;
-      min = Int64.max_int;
-      max = Int64.min_int;
+      total = 0;
+      min = max_int;
+      max = min_int;
     }
 
-  let observe t v =
+  let observe t (v : int) =
     let i = Buckets.index v in
     t.buckets.(i) <- t.buckets.(i) + 1;
     t.count <- t.count + 1;
-    t.total <- Int64.add t.total v;
-    if Int64.compare v t.min < 0 then t.min <- v;
-    if Int64.compare v t.max > 0 then t.max <- v
+    t.total <- t.total + v;
+    if v < t.min then t.min <- v;
+    if v > t.max then t.max <- v
 
   let count t = t.count
-  let total t = t.total
-  let max t = t.max
-  let min t = t.min
+  let total t = Int64.of_int t.total
+  let max t = if t.count = 0 then Int64.min_int else Int64.of_int t.max
+  let min t = if t.count = 0 then Int64.max_int else Int64.of_int t.min
 end
 
 type metric =
@@ -140,9 +143,9 @@ let data_of_metric = function
       Snapshot.Histogram
         {
           Snapshot.count = h.Histogram.count;
-          total = h.Histogram.total;
-          min = h.Histogram.min;
-          max = h.Histogram.max;
+          total = Histogram.total h;
+          min = Histogram.min h;
+          max = Histogram.max h;
           buckets = !buckets;
         }
 

@@ -10,8 +10,9 @@
     - {b counter}: monotone int event count; merge adds.
     - {b sum}: float accumulator (e.g. fractional median credits); merge adds.
     - {b gauge}: high-watermark float (queue depths, maxima); merge takes max.
-    - {b histogram}: int64-ns values over the fixed log ladder of {!Buckets};
-      merge adds bucket-wise.
+    - {b histogram}: int-ns values over the fixed log ladder of {!Buckets};
+      merge adds bucket-wise. Snapshots report their totals and extremes
+      as int64.
 
     Registries are single-domain objects: a simulation's registry lives and
     dies with its job, and only {!Snapshot} values cross domains. *)
@@ -54,8 +55,8 @@ end
 module Histogram : sig
   type t
 
-  (** [observe h v] records the int64-ns value [v]. *)
-  val observe : t -> int64 -> unit
+  (** [observe h v] records the ns value [v]; allocation-free. *)
+  val observe : t -> int -> unit
 
   val count : t -> int
   val total : t -> int64

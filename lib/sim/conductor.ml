@@ -134,6 +134,7 @@ let run_sorted b =
    custom block. *)
 type t = {
   engines : Engine.t array;
+  xshard : Engine.kind array;  (* per shard, for injected arrivals *)
   matrix : Time.t array array;  (* matrix.(src).(dst); diagonal unused *)
   parallel : bool;
   horizon : Time.t array;  (* per-shard committed simulation time *)
@@ -208,6 +209,7 @@ let create ?(parallel = true) ?matrix ~lookahead engines =
   in
   {
     engines;
+    xshard = Array.map (fun e -> Engine.kind e "xshard") engines;
     matrix;
     parallel;
     horizon = Array.make n Time.zero;
@@ -248,7 +250,7 @@ let run_shard t i =
   if b.len > 0 then begin
     for k = 0 to b.len - 1 do
       let m = b.data.(k) in
-      ignore (Engine.schedule_at ~kind:"xshard" eng m.at m.fn);
+      ignore (Engine.schedule_at ~kind:t.xshard.(i) eng m.at m.fn);
       m.fn <- nop
     done;
     b.len <- 0;

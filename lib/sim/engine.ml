@@ -5,6 +5,15 @@ type kind_hooks = {
   k_delay : Sw_obs.Registry.Histogram.t;
 }
 
+(* A kind registers its instruments on its first counted event, not at
+   creation, so a component that never schedules (or a run with metrics
+   off) leaves no zero-valued [sim.events.<kind>.*] entries behind. *)
+type kind = {
+  k_name : string;
+  k_metrics : Sw_obs.Registry.t;
+  mutable k_hooks : kind_hooks option;
+}
+
 type t = {
   mutable now : Time.t;
   wheel : Wheel.t;
@@ -15,7 +24,6 @@ type t = {
   m_fired : Sw_obs.Registry.Counter.t;
   m_cancelled : Sw_obs.Registry.Counter.t;
   m_depth : Sw_obs.Registry.Gauge.t;
-  kinds : (string, kind_hooks) Hashtbl.t;
   profile : Sw_obs.Profile.t;
   p_dispatch : Sw_obs.Profile.timer;
 }
@@ -37,7 +45,6 @@ let create ?(seed = 0x5397_BA1DL) ?metrics ?profile () =
     m_fired = Sw_obs.Registry.counter metrics "sim.events.fired";
     m_cancelled = Sw_obs.Registry.counter metrics "sim.events.cancelled";
     m_depth = Sw_obs.Registry.gauge metrics "sim.queue.depth";
-    kinds = Hashtbl.create 16;
     profile;
     p_dispatch = Sw_obs.Profile.timer profile "engine.dispatch";
   }
@@ -47,21 +54,23 @@ let rng t = Prng.split t.root_rng
 let metrics t = t.metrics
 let profile t = t.profile
 
-let kind_hooks t kind =
-  match Hashtbl.find_opt t.kinds kind with
+let kind t name = { k_name = name; k_metrics = t.metrics; k_hooks = None }
+
+let kind_hooks k =
+  match k.k_hooks with
   | Some h -> h
   | None ->
       let h =
         {
           k_scheduled =
-            Sw_obs.Registry.counter t.metrics
-              (Printf.sprintf "sim.events.%s.scheduled" kind);
+            Sw_obs.Registry.counter k.k_metrics
+              (Printf.sprintf "sim.events.%s.scheduled" k.k_name);
           k_delay =
-            Sw_obs.Registry.histogram t.metrics
-              (Printf.sprintf "sim.events.%s.delay_ns" kind);
+            Sw_obs.Registry.histogram k.k_metrics
+              (Printf.sprintf "sim.events.%s.delay_ns" k.k_name);
         }
       in
-      Hashtbl.add t.kinds kind h;
+      k.k_hooks <- Some h;
       h
 
 let schedule_at ?kind t at fn =
@@ -72,14 +81,14 @@ let schedule_at ?kind t at fn =
   let id = Wheel.add t.wheel ~key:at fn in
   t.live <- t.live + 1;
   (* One load and one branch when the registry is disabled: no counter
-     bumps, no kind-hook lookup, no histogram observation. *)
+     bumps, no histogram observation. *)
   if Sw_obs.Registry.enabled t.metrics then begin
     Sw_obs.Registry.Counter.incr t.m_scheduled;
     Sw_obs.Registry.Gauge.observe_int t.m_depth t.live;
     match kind with
     | None -> ()
     | Some kind ->
-        let h = kind_hooks t kind in
+        let h = kind_hooks kind in
         Sw_obs.Registry.Counter.incr h.k_scheduled;
         Sw_obs.Registry.Histogram.observe h.k_delay (Time.sub at t.now)
   end;
@@ -101,18 +110,24 @@ let cancel t id =
     end
   end
 
+(* Fire the event {!Wheel.next_key} just reported at [at]. *)
+let fire t at =
+  let fn = Wheel.pop t.wheel in
+  t.now <- at;
+  t.live <- t.live - 1;
+  if Sw_obs.Registry.enabled t.metrics then begin
+    Sw_obs.Registry.Counter.incr t.m_fired;
+    Sw_obs.Registry.Gauge.observe_int t.m_depth t.live
+  end;
+  Sw_obs.Profile.time t.profile t.p_dispatch fn
+
 let step t =
-  match Wheel.pop t.wheel with
-  | None -> false
-  | Some (at, fn) ->
-      t.now <- at;
-      t.live <- t.live - 1;
-      if Sw_obs.Registry.enabled t.metrics then begin
-        Sw_obs.Registry.Counter.incr t.m_fired;
-        Sw_obs.Registry.Gauge.observe_int t.m_depth t.live
-      end;
-      Sw_obs.Profile.time t.profile t.p_dispatch fn;
-      true
+  let at = Wheel.next_key t.wheel in
+  if at = max_int then false
+  else begin
+    fire t at;
+    true
+  end
 
 let run ?until t =
   match until with
@@ -121,8 +136,9 @@ let run ?until t =
       go ()
   | Some limit ->
       let rec go () =
-        if Wheel.next_at_or_before t.wheel limit then begin
-          ignore (step t);
+        let at = Wheel.next_key t.wheel in
+        if at <= limit && at <> max_int then begin
+          fire t at;
           go ()
         end
       in

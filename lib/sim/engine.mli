@@ -44,16 +44,28 @@ val metrics : t -> Sw_obs.Registry.t
     unless one was passed to {!create} (or enabled later). *)
 val profile : t -> Sw_obs.Profile.t
 
+(** An interned event kind: the handle a component passes to
+    {!schedule_at} so the engine counts its events without a name lookup. *)
+type kind
+
+(** [kind t name] interns [name] (a metric path segment such as
+    ["net.deliver"]) on [t]'s registry. Components call it once, at
+    creation. Events scheduled under it are counted in
+    [sim.events.<name>.scheduled], and their scheduling delays go to the
+    [sim.events.<name>.delay_ns] histogram. Those instruments are
+    registered on the first counted event, so a kind that never fires adds
+    no metrics. Two kinds of one name on one engine share their
+    instruments. *)
+val kind : t -> string -> kind
+
 (** [schedule_at ?kind t at f] runs [f] when the clock reaches [at]. Raises
-    [Invalid_argument] when [at] is in the past. When [kind] is given (a
-    metric path segment such as ["net.deliver"]) the engine additionally
-    counts the event under [sim.events.<kind>.scheduled] and records its
-    scheduling delay in the [sim.events.<kind>.delay_ns] histogram. *)
-val schedule_at : ?kind:string -> t -> Time.t -> (unit -> unit) -> event_id
+    [Invalid_argument] when [at] is in the past. With [kind] (made by
+    {!kind} on this engine) the event is also counted under that kind. *)
+val schedule_at : ?kind:kind -> t -> Time.t -> (unit -> unit) -> event_id
 
 (** [schedule_after ?kind t delay f] runs [f] after [delay] (an instant of
     [now + delay]). Raises [Invalid_argument] for negative delays. *)
-val schedule_after : ?kind:string -> t -> Time.t -> (unit -> unit) -> event_id
+val schedule_after : ?kind:kind -> t -> Time.t -> (unit -> unit) -> event_id
 
 (** [cancel t id] prevents the event from firing; cancelling an already-fired
     or already-cancelled event is a no-op — in particular it never perturbs

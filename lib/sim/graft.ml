@@ -17,8 +17,8 @@ let startenv_mask = (1 lsl (Sys.int_size - 8)) - 1
 
 (* Physical identity of a block is its ADDRESS. Hashing *contents* is
    hopeless here: a restored cloud checkpointed at t=0 is millions of
-   physically distinct but bit-identical blocks — zeroed boxed Int64
-   timestamps, [ref 0] counters, fresh per-host records — and any content
+   physically distinct but bit-identical blocks — zeroed boxed numbers,
+   [ref 0] counters, fresh per-host records — and any content
    hash piles each such class into one probe chain where [==] fails all the
    way down, turning the walk quadratic (restores that took seconds at 960
    hosts ran for tens of minutes at 10k). The address is the one thing that

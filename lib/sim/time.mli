@@ -5,9 +5,15 @@
     for spans (durations); which one is meant is documented at each use site.
     Virtual time (the per-guest clock of Eqn. 1 in the paper) also uses this
     type: it is a nanosecond-denominated clock, just not synchronised with the
-    simulation's real time. *)
+    simulation's real time.
 
-type t = int64
+    The representation is an immediate OCaml [int]: 63 bits on a 64-bit
+    host, so instants up to 2^62 ns (about 146 years) are exact, and storing
+    a time into a mutable field, a ref or a closure allocates nothing.
+    Exports that need a fixed width (snapshots, traces, lineage) convert to
+    [int64] at their boundary. *)
+
+type t = int
 
 val zero : t
 val ns : int -> t

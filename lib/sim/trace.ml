@@ -8,16 +8,16 @@ let disable = Sw_obs.Trace.disable
 let enabled = Sw_obs.Trace.enabled
 
 let emit t ~at ~label message =
-  (* [Time.t] is an [int64] of nanoseconds, so [at] is the [at_ns]. *)
-  Sw_obs.Trace.emit t ~at_ns:at (Sw_obs.Event.Message { label; text = message })
+  Sw_obs.Trace.emit t ~at_ns:(Int64.of_int at)
+    (Sw_obs.Event.Message { label; text = message })
 
 let entry_of (e : Sw_obs.Trace.entry) =
   match e.Sw_obs.Trace.event with
   | Sw_obs.Event.Message { label; text } ->
-      { at = e.Sw_obs.Trace.at_ns; label; message = text }
+      { at = Int64.to_int e.Sw_obs.Trace.at_ns; label; message = text }
   | ev ->
       {
-        at = e.Sw_obs.Trace.at_ns;
+        at = Int64.to_int e.Sw_obs.Trace.at_ns;
         label = Sw_obs.Event.label ev;
         message = Format.asprintf "%a" Sw_obs.Event.pp ev;
       }

@@ -38,7 +38,7 @@ val create : unit -> t
     assumed [>= ] every key already popped) and returns a handle for
     {!cancel}. Sequence numbers are assigned in call order, so equal keys
     fire FIFO. *)
-val add : t -> key:int64 -> (unit -> unit) -> handle
+val add : t -> key:Time.t -> (unit -> unit) -> handle
 
 (** [cancel t h] tombstones the event if [h] is still current and pending;
     returns [false] — and changes nothing — when the event already fired,
@@ -56,19 +56,18 @@ val cancel : t -> handle -> bool
     push every fresh event past the top level's ~550 s span and into the
     overflow heap. (time, seq) order is unaffected: the wheel is empty, so
     there is nothing to reorder against. *)
-val advance : t -> int64 -> unit
+val advance : t -> Time.t -> unit
 
-(** Key of the earliest pending (uncancelled) event, if any. *)
-val peek_key : t -> int64 option
+(** Key of the earliest pending (uncancelled) event, or [max_int] when
+    none is pending. Allocation-free, like {!pop}: keys stay below 2^62, so
+    the sentinel is never a real key. *)
+val next_key : t -> Time.t
 
-(** [next_at_or_before t limit] is [true] when a pending event with
-    [key <= limit] exists — an allocation-free [peek_key] for bounded run
-    loops. *)
-val next_at_or_before : t -> int64 -> bool
-
-(** Pops the earliest pending event as [(key, fn)], recycling its record
-    (the handle goes stale before [fn] is even called). *)
-val pop : t -> (int64 * (unit -> unit)) option
+(** Pops the earliest pending event — the one {!next_key} names — and
+    returns its callback, recycling its record (the handle goes stale
+    before the callback is even called). Raises [Invalid_argument] when
+    nothing is pending. *)
+val pop : t -> unit -> unit
 
 (** Number of records currently held (pending plus uncollected tombstones);
     [0] means fully drained. *)

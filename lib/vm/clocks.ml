@@ -15,17 +15,19 @@ let create ?(tsc_hz = 3.0e9) ?(pit_hz = 1_193_182.) ?(pit_reload = 4772) () =
 let rdtsc t ~virt =
   (* floor(virt_s * tsc_hz); computed in integer arithmetic to stay exact
      across replicas: ticks = virt_ns * (tsc_hz / 1e9). With tsc_hz an
-     integral number of kHz this is virt_ns * khz / 1e6. *)
+     integral number of kHz this is virt_ns * khz / 1e6. The product stays
+     in int64: at 3 GHz it passes 2^62 after about 25 virtual minutes. *)
   let khz = Int64.of_float (Float.round (t.tsc_hz /. 1e3)) in
-  Int64.div (Int64.mul virt khz) 1_000_000L
+  Int64.div (Int64.mul (Int64.of_int virt) khz) 1_000_000L
 
-let rtc_seconds _t ~virt = Int64.to_int (Int64.div virt 1_000_000_000L)
+let rtc_seconds _t ~virt = virt / 1_000_000_000
 
 let pit_ticks t ~virt =
   (* Ticks elapsed = floor(virt_s * pit_hz), again in exact integer form:
-     the i8254 rate is an integral Hz value. *)
+     the i8254 rate is an integral Hz value. In int64 too: this product
+     passes 2^62 after about an hour. *)
   let hz = Int64.of_float (Float.round t.pit_hz) in
-  Int64.div (Int64.mul virt hz) 1_000_000_000L
+  Int64.div (Int64.mul (Int64.of_int virt) hz) 1_000_000_000L
 
 let pit_counter t ~virt =
   let ticks = pit_ticks t ~virt in

@@ -29,6 +29,8 @@ type t = {
   mutable slowdown : float;
   m_slices : Registry.Counter.t;
   m_dom0_ns : Registry.Counter.t;
+  k_slice : Engine.kind;
+  k_dom0 : Engine.kind;
 }
 
 let create engine network ~id ~config ?(rate_multiplier = 1.0)
@@ -55,6 +57,8 @@ let create engine network ~id ~config ?(rate_multiplier = 1.0)
     slowdown = 1.0;
     m_slices = Registry.counter metrics (Printf.sprintf "vmm.%d.slices" id);
     m_dom0_ns = Registry.counter metrics (Printf.sprintf "vmm.%d.dom0_ns" id);
+    k_slice = Engine.kind engine "vmm.slice";
+    k_dom0 = Engine.kind engine "vmm.dom0";
   }
 
 let id t = t.id
@@ -81,7 +85,7 @@ let rec slice_loop t rs =
     in
     let finish = Time.add (Time.max slice_start t.stalled_until) wall in
     ignore
-      (Engine.schedule_at ~kind:"vmm.slice" t.engine finish (fun () ->
+      (Engine.schedule_at ~kind:t.k_slice t.engine finish (fun () ->
            rs.r.on_slice_end ~slice_start;
            slice_loop t rs))
   end
@@ -126,8 +130,8 @@ let dom0_execute t ~cost k =
   let start = Time.max now t.dom0_busy_until in
   let finish = Time.add start cost in
   t.dom0_busy_until <- finish;
-  Registry.Counter.add t.m_dom0_ns (Int64.to_int cost);
-  ignore (Engine.schedule_at ~kind:"vmm.dom0" t.engine finish k)
+  Registry.Counter.add t.m_dom0_ns cost;
+  ignore (Engine.schedule_at ~kind:t.k_dom0 t.engine finish k)
 
 let dom0_work t span = dom0_execute t ~cost:span (fun () -> ())
 

@@ -1,6 +1,7 @@
 module Time = Sw_sim.Time
 module Engine = Sw_sim.Engine
 module Registry = Sw_obs.Registry
+module Int_table = Sw_sim.Int_table
 module Event = Sw_obs.Event
 module Packet = Sw_net.Packet
 module Address = Sw_net.Address
@@ -32,7 +33,7 @@ type log_entry =
   | L_slice
   | L_inject of Sw_vm.App.event
   | L_timers
-  | L_slope of int64 * float
+  | L_slope of int * float
 
 (* Liveness heartbeat multicast by each replica's VMM to the group: the
    watchdog distinguishes a dead replica from a merely blocked one by these,
@@ -58,7 +59,7 @@ type instance = {
       (** PGM endpoint shared with the peer VMMs and the ingress. *)
   mach : Machine.t;
   config : Config.t;
-  inbound : (int, inbound_entry) Hashtbl.t;
+  inbound : inbound_entry Int_table.t;
   mutable pending : pending list;  (** Sorted by (delivery, cls, key). *)
   mutable disk_waiting : disk_entry list;
   m_net : Registry.Counter.t;
@@ -76,8 +77,8 @@ type instance = {
 
 type t = {
   mach : Machine.t;
-  instances : (int, instance) Hashtbl.t;
-  mcast_routes : (int, Sw_net.Multicast.endpoint) Hashtbl.t;
+  instances : instance Int_table.t;
+  mcast_routes : Sw_net.Multicast.endpoint Int_table.t;
       (** Multicast group id -> endpoint, for inbound demux. *)
   m_unknown : Registry.Counter.t;
 }
@@ -97,7 +98,7 @@ let dma_interrupts i = Registry.Counter.value i.m_dma_irq
 let inter_delivery_virts_ms i = Sw_sim.Samples.to_array i.inter_delivery
 let delta_d_violations i = Registry.Counter.value i.m_delta_d
 let unknown_packets t = Registry.Counter.value t.m_unknown
-let instance_of_vm t vm = Hashtbl.find_opt t.instances vm
+let instance_of_vm t vm = Int_table.find_opt t.instances vm
 let set_trace i tr = i.trace <- Some tr
 
 let log_op i entry =
@@ -113,7 +114,8 @@ let emit i event =
   match i.trace with
   | None -> ()
   | Some tr ->
-      Sw_obs.Trace.emit tr ~at_ns:(Engine.now (Machine.engine i.mach)) event
+      let at_ns = Int64.of_int (Engine.now (Machine.engine i.mach)) in
+      Sw_obs.Trace.emit tr ~at_ns event
 
 let insert_pending i entry =
   let precedes a b =
@@ -150,14 +152,14 @@ let complete_inbound i ~ingress_seq entry =
         (Engine.profile (Machine.engine i.mach))
         i.p_median
         (fun () ->
-      Hashtbl.remove i.inbound ingress_seq;
+      Int_table.remove i.inbound ingress_seq;
       let delivery =
         (* Three voters is the steady state (paper Sec. IV); take its median
            straight off the list through the branch network. Other quorum
            sizes fill one array in a single pass. *)
         match votes with
         | [ (_, a); (_, b); (_, c) ] ->
-            Sw_stats.Order_stats.median3_int64 a b c
+            Sw_stats.Order_stats.median3_int a b c
         | _ ->
             let arr = Array.make (List.length votes) Time.zero in
             List.iteri (fun k (_, v) -> arr.(k) <- v) votes;
@@ -180,8 +182,9 @@ let complete_inbound i ~ingress_seq entry =
                vm = i.vm_id;
                replica = Replica_group.replica_id i.member;
                ingress_seq;
-               virt_ns = delivery;
-               proposals = entry.proposals;
+               virt_ns = Int64.of_int delivery;
+               proposals =
+                 List.map (fun (who, v) -> (who, Int64.of_int v)) entry.proposals;
              });
       if Time.(delivery < Replica_group.member_virt i.member) then begin
         Replica_group.record_divergence i.group;
@@ -199,11 +202,11 @@ let complete_inbound i ~ingress_seq entry =
   | _ -> ()
 
 let inbound_entry i ingress_seq =
-  match Hashtbl.find_opt i.inbound ingress_seq with
+  match Int_table.find_opt i.inbound ingress_seq with
   | Some e -> e
   | None ->
       let e = { packet = None; proposals = [] } in
-      Hashtbl.add i.inbound ingress_seq e;
+      Int_table.add i.inbound ingress_seq e;
       e
 
 (* After a membership change, deliveries that were waiting on a dead voter's
@@ -212,13 +215,13 @@ let inbound_entry i ingress_seq =
    completing, since completion removes entries. *)
 let rescan_inbound i =
   if not i.crashed then begin
-    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) i.inbound [] in
+    let keys = Int_table.fold (fun k _ acc -> k :: acc) i.inbound [] in
     List.iter
       (fun k ->
-        match Hashtbl.find_opt i.inbound k with
+        match Int_table.find_opt i.inbound k with
         | Some entry -> complete_inbound i ~ingress_seq:k entry
         | None -> ())
-      (List.sort compare keys)
+      (List.sort Int.compare keys)
   end
 
 let add_proposal entry ~proposer ~virt =
@@ -243,7 +246,7 @@ let on_guest_bound i ~ingress_seq ~(inner : Packet.t) =
              observer = my_id;
              proposer = my_id;
              ingress_seq;
-             virt_ns = proposed;
+             virt_ns = Int64.of_int proposed;
            });
     add_proposal entry ~proposer:my_id ~virt:proposed;
     let payload =
@@ -297,7 +300,7 @@ let on_proposal i ~ingress_seq ~proposer ~virt =
            observer = Replica_group.replica_id i.member;
            proposer;
            ingress_seq;
-           virt_ns = virt;
+           virt_ns = Int64.of_int virt;
          });
   let entry = inbound_entry i ingress_seq in
   add_proposal entry ~proposer ~virt;
@@ -332,60 +335,62 @@ let make_sinks mach group_ref member_ref vm_id disk_cb dma_cb =
 
 (* --- Slice handling --------------------------------------------------- *)
 
+(* Inject every pending interrupt due by [virt], in delivery order. A
+   top-level loop: it runs once per slice, and a local closure over [i]
+   and [virt] would be allocated each time. *)
+let rec inject_due i virt =
+  match i.pending with
+  | hd :: rest when Time.(hd.delivery <= virt) ->
+      i.pending <- rest;
+      log_op i (L_inject hd.event);
+      (match hd.event with
+      | Sw_vm.App.Packet_in _ ->
+          if trace_on i then
+            emit i
+              (Event.Packet_delivered
+                 {
+                   vm = i.vm_id;
+                   replica = Replica_group.replica_id i.member;
+                   seq = hd.key;
+                   virt_ns = Int64.of_int virt;
+                 });
+          Registry.Counter.incr i.m_net;
+          (match i.last_net_virt with
+          | Some prev ->
+              let gap = Time.sub virt prev in
+              Sw_sim.Samples.add i.inter_delivery (Time.to_float_ms gap);
+              Registry.Histogram.observe i.h_inter gap
+          | None -> ());
+          i.last_net_virt <- Some virt
+      | Sw_vm.App.Disk_done { tag } ->
+          Registry.Counter.incr i.m_disk_irq;
+          if trace_on i then
+            emit i
+              (Event.Disk_irq
+                 {
+                   vm = i.vm_id;
+                   replica = Replica_group.replica_id i.member;
+                   tag;
+                   virt_ns = Int64.of_int virt;
+                 })
+      | Sw_vm.App.Dma_done { tag } ->
+          Registry.Counter.incr i.m_dma_irq;
+          if trace_on i then
+            emit i
+              (Event.Dma_irq
+                 {
+                   vm = i.vm_id;
+                   replica = Replica_group.replica_id i.member;
+                   tag;
+                   virt_ns = Int64.of_int virt;
+                 })
+      | _ -> ());
+      Sw_vm.Guest.inject i.guest hd.event;
+      inject_due i virt
+  | _ -> ()
+
 let deliver_due i =
-  let virt = Sw_vm.Guest.virt_now i.guest in
-  let rec loop () =
-    match i.pending with
-    | hd :: rest when Time.(hd.delivery <= virt) ->
-        i.pending <- rest;
-        log_op i (L_inject hd.event);
-        (match hd.event with
-        | Sw_vm.App.Packet_in _ ->
-            if trace_on i then
-              emit i
-                (Event.Packet_delivered
-                   {
-                     vm = i.vm_id;
-                     replica = Replica_group.replica_id i.member;
-                     seq = hd.key;
-                     virt_ns = virt;
-                   });
-            Registry.Counter.incr i.m_net;
-            (match i.last_net_virt with
-            | Some prev ->
-                let gap = Time.sub virt prev in
-                Sw_sim.Samples.add i.inter_delivery (Time.to_float_ms gap);
-                Registry.Histogram.observe i.h_inter gap
-            | None -> ());
-            i.last_net_virt <- Some virt
-        | Sw_vm.App.Disk_done { tag } ->
-            Registry.Counter.incr i.m_disk_irq;
-            if trace_on i then
-              emit i
-                (Event.Disk_irq
-                   {
-                     vm = i.vm_id;
-                     replica = Replica_group.replica_id i.member;
-                     tag;
-                     virt_ns = virt;
-                   })
-        | Sw_vm.App.Dma_done { tag } ->
-            Registry.Counter.incr i.m_dma_irq;
-            if trace_on i then
-              emit i
-                (Event.Dma_irq
-                   {
-                     vm = i.vm_id;
-                     replica = Replica_group.replica_id i.member;
-                     tag;
-                     virt_ns = virt;
-                   })
-        | _ -> ());
-        Sw_vm.Guest.inject i.guest hd.event;
-        loop ()
-    | _ -> ()
-  in
-  loop ();
+  inject_due i (Sw_vm.Guest.virt_now i.guest);
   log_op i L_timers;
   Sw_vm.Guest.deliver_due_timers i.guest
 
@@ -406,8 +411,8 @@ let on_slice_end t i ~slice_start:_ =
            vm = i.vm_id;
            replica = Replica_group.replica_id i.member;
            machine = Machine.id t.mach;
-           virt_ns = virt;
-           instr = Sw_vm.Guest.instr i.guest;
+           virt_ns = Int64.of_int virt;
+           instr = Int64.of_int (Sw_vm.Guest.instr i.guest);
          });
   deliver_due i
   end
@@ -507,23 +512,23 @@ let handle_packet t (pkt : Packet.t) =
   | _ when Sw_net.Multicast.is_mcast pkt -> (
       match Sw_net.Multicast.group_of_packet pkt with
       | Some gid -> (
-          match Hashtbl.find_opt t.mcast_routes gid with
+          match Int_table.find_opt t.mcast_routes gid with
           | Some ep -> Sw_net.Multicast.handle ep pkt
           | None -> Registry.Counter.incr t.m_unknown)
       | None -> Registry.Counter.incr t.m_unknown)
   | Packet.Guest_bound { vm; ingress_seq; inner } -> (
-      match Hashtbl.find_opt t.instances vm with
+      match Int_table.find_opt t.instances vm with
       | Some i when not i.crashed -> on_guest_bound i ~ingress_seq ~inner
       | Some _ -> ()
       | None -> Registry.Counter.incr t.m_unknown)
   | Packet.Proposal { vm; ingress_seq; proposer; virt } -> (
-      match Hashtbl.find_opt t.instances vm with
+      match Int_table.find_opt t.instances vm with
       | Some i ->
           note_peer_seen i proposer;
           if not i.crashed then on_proposal i ~ingress_seq ~proposer ~virt
       | None -> Registry.Counter.incr t.m_unknown)
   | Packet.Epoch_report { vm; replica; epoch; d; r } -> (
-      match Hashtbl.find_opt t.instances vm with
+      match Int_table.find_opt t.instances vm with
       | Some i ->
           note_peer_seen i replica;
           if not i.crashed then
@@ -531,14 +536,14 @@ let handle_packet t (pkt : Packet.t) =
               ~from_replica:replica ~epoch ~d ~r
       | None -> Registry.Counter.incr t.m_unknown)
   | Vmm_alive { vm; replica } -> (
-      match Hashtbl.find_opt t.instances vm with
+      match Int_table.find_opt t.instances vm with
       | Some i -> note_peer_seen i replica
       | None -> Registry.Counter.incr t.m_unknown)
   | _ -> (
       (* Baseline-mode guests receive their traffic directly. *)
       match pkt.Packet.dst with
       | Address.Vm vm -> (
-          match Hashtbl.find_opt t.instances vm with
+          match Int_table.find_opt t.instances vm with
           | Some i when not (is_stopwatch i) ->
               on_guest_bound i ~ingress_seq:pkt.Packet.seq ~inner:pkt
           | _ -> Registry.Counter.incr t.m_unknown)
@@ -619,10 +624,10 @@ let reintegrate i ~from =
      half-gathered proposal entries, and delivery-gap continuity. Entries are
      cloned where mutable. *)
   i.pending <- from.pending;
-  Hashtbl.reset i.inbound;
-  Hashtbl.iter
+  Int_table.reset i.inbound;
+  Int_table.iter
     (fun k (e : inbound_entry) ->
-      Hashtbl.replace i.inbound k { packet = e.packet; proposals = e.proposals })
+      Int_table.replace i.inbound k { packet = e.packet; proposals = e.proposals })
     from.inbound;
   i.last_net_virt <- from.last_net_virt;
   (* The survivor's in-flight disk transfers have deterministic virtual
@@ -666,9 +671,10 @@ let reintegrate i ~from =
 let start_heartbeat (i : instance) period =
   let engine = Machine.engine i.mach in
   let my_id = Replica_group.replica_id i.member in
+  let kind = Engine.kind engine "vmm.heartbeat" in
   let rec tick () =
     ignore
-      (Engine.schedule_after ~kind:"vmm.heartbeat" engine period (fun () ->
+      (Engine.schedule_after ~kind engine period (fun () ->
            if not i.crashed then begin
              let payload = Vmm_alive { vm = i.vm_id; replica = my_id } in
              (match i.channel with
@@ -694,8 +700,8 @@ let create mach =
   let t =
     {
       mach;
-      instances = Hashtbl.create 8;
-      mcast_routes = Hashtbl.create 8;
+      instances = Int_table.create 8;
+      mcast_routes = Int_table.create 8;
       m_unknown =
         Registry.counter
           (Engine.metrics (Machine.engine mach))
@@ -715,7 +721,7 @@ let create mach =
 let host ?channel ?start t ~group ~app ~peers =
   let config = Replica_group.config group in
   let vm_id = Replica_group.vm group in
-  if Hashtbl.mem t.instances vm_id then
+  if Int_table.mem t.instances vm_id then
     invalid_arg "Vmm.host: this machine already hosts a replica of that VM";
   (* The virtual clock starts at the median of the hosting VMMs' clock
      readings (Sec. IV-A), negotiated by the deployer; a lone replica starts
@@ -808,7 +814,7 @@ let host ?channel ?start t ~group ~app ~peers =
       peers;
       mach = t.mach;
       config;
-      inbound = Hashtbl.create 32;
+      inbound = Int_table.create 32;
       pending = [];
       disk_waiting = [];
       m_net = Registry.counter metrics (prefix ^ ".net_deliveries");
@@ -839,9 +845,9 @@ let host ?channel ?start t ~group ~app ~peers =
           ()
       in
       i.channel <- Some ep;
-      Hashtbl.replace t.mcast_routes (Sw_net.Multicast.group_id g) ep
+      Int_table.replace t.mcast_routes (Sw_net.Multicast.group_id g) ep
   | None -> ());
-  Hashtbl.add t.instances vm_id i;
+  Int_table.add t.instances vm_id i;
   (* Membership changes can complete deliveries this replica was holding for
      a now-dead voter's proposal. *)
   Replica_group.on_membership_change group (fun () -> rescan_inbound i);

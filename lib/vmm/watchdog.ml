@@ -18,7 +18,8 @@ let trace_on t = Sw_obs.Trace.active t.trace
 let emit t event =
   match t.trace with
   | None -> ()
-  | Some tr -> Sw_obs.Trace.emit tr ~at_ns:(Engine.now t.engine) event
+  | Some tr ->
+      Sw_obs.Trace.emit tr ~at_ns:(Int64.of_int (Engine.now t.engine)) event
 
 let suspicion t id =
   Option.value (Hashtbl.find_opt t.suspicions id) ~default:0
@@ -76,9 +77,10 @@ let create engine group =
           on_eject = [];
         }
       in
+      let kind = Engine.kind engine "vmm.watchdog" in
       let rec tick () =
         ignore
-          (Engine.schedule_after ~kind:"vmm.watchdog" engine
+          (Engine.schedule_after ~kind engine
              params.Config.period (fun () ->
                if not t.stopped then begin
                  sweep t;

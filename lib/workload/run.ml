@@ -38,7 +38,7 @@ let quantile_ms snapshot name q =
       in
       let bound = walk 0 h.Snapshot.buckets in
       let bound = Int64.max h.Snapshot.min (Int64.min h.Snapshot.max bound) in
-      Time.to_float_ms bound
+      Int64.to_float bound /. 1e6
 
 (* Everything in flight when the offered load stops gets this long to
    drain before we snapshot. *)
@@ -74,7 +74,7 @@ let prepare_single (w : Dsl.workload) =
   let kv_config =
     {
       Kv.cache = w.cache;
-      compute_branches = Int64.of_int w.compute_branches;
+      compute_branches = w.compute_branches;
       header_bytes = w.header_bytes;
       tcp = None;
     }
@@ -338,7 +338,7 @@ let prepare_datacenter ?shards ?partition ?lookahead (w : Dsl.workload)
   let kv_config =
     {
       Kv.cache = w.cache;
-      compute_branches = Int64.of_int w.compute_branches;
+      compute_branches = w.compute_branches;
       header_bytes = w.header_bytes;
       tcp = None;
     }
@@ -395,21 +395,26 @@ let prepare_datacenter ?shards ?partition ?lookahead (w : Dsl.workload)
   let finish () =
     let metrics = Cloud.metrics_snapshot cloud in
     (* Cell response times live under per-cell names; fold them into one
-       cloud-wide histogram for the headline quantiles. *)
+       cloud-wide histogram for the headline quantiles, gathering them in
+       one walk over the snapshot. Histogram merging is commutative, so the
+       walk's name order gives the same result as cell order. *)
+    let cell_names = Hashtbl.create cells in
+    for c = 0 to cells - 1 do
+      Hashtbl.replace cell_names
+        (Printf.sprintf "workload.cell%d.response_ns" c)
+        ()
+    done;
     let merged =
       Snapshot.merge_all
         (List.filter_map
-           (fun c ->
-             match
-               Snapshot.histogram metrics
-                 (Printf.sprintf "workload.cell%d.response_ns" c)
-             with
-             | None -> None
-             | Some h ->
+           (fun (name, d) ->
+             match d with
+             | Snapshot.Histogram h when Hashtbl.mem cell_names name ->
                  Some
                    (Snapshot.of_list
-                      [ ("workload.response_ns", Snapshot.Histogram h) ]))
-           (List.init cells Fun.id))
+                      [ ("workload.response_ns", Snapshot.Histogram h) ])
+             | _ -> None)
+           (Snapshot.to_list metrics))
     in
     let sum f = List.fold_left (fun acc fl -> acc + f fl) 0 !flows in
     {

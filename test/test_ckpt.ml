@@ -317,7 +317,7 @@ let meta ~index ~sim_ns =
   }
 
 let write_exn path ~payload =
-  match Image.write ~path (meta ~index:0 ~sim_ns:5L) ~payload with
+  match Image.write ~path (meta ~index:0 ~sim_ns:(Time.ns 5)) ~payload with
   | Ok () -> ()
   | Error e -> Alcotest.failf "write failed: %s" (Image.error_to_string e)
 
@@ -379,11 +379,23 @@ let test_image_version_and_magic () =
   Bytes.blit_string "99" 0 bumped 6 2;
   write_file path (Bytes.to_string bumped);
   expect_read_error path (function
-    | Image.Version_mismatch { found = 99; expected = 1 } -> true
+    | Image.Version_mismatch { found = 99; expected = 2 } -> true
     | _ -> false);
   write_file path ("XXXXXX" ^ String.sub bytes 6 (String.length bytes - 6));
   expect_read_error path (function
     | Image.Bad_magic -> true
+    | _ -> false)
+
+(* A v1 image (boxed int64 [sim_ns] in its header) is rejected by its
+   version digits before its header is unmarshalled. *)
+let test_image_v1_rejected () =
+  let path = fresh_file "v1.img" in
+  write_exn path ~payload:"p";
+  let v1 = Bytes.of_string (read_file path) in
+  Bytes.blit_string "01" 0 v1 6 2;
+  write_file path (Bytes.to_string v1);
+  expect_read_error path (function
+    | Image.Version_mismatch { found = 1; expected = 2 } -> true
     | _ -> false)
 
 (* A crash mid-write must never cost the timeline: writes go to a temp
@@ -395,7 +407,7 @@ let test_store_crash_mid_write () =
   | Error e -> Alcotest.failf "ensure_dir: %s" (Image.error_to_string e));
   let payload = String.make 512 'a' in
   (match
-     Image.write ~path:(Store.path dir ~index:0) (meta ~index:0 ~sim_ns:5L)
+     Image.write ~path:(Store.path dir ~index:0) (meta ~index:0 ~sim_ns:(Time.ns 5))
        ~payload
    with
   | Ok () -> ()
@@ -449,7 +461,7 @@ let test_soak_survives_kills () =
   Alcotest.(check string) "report bytes"
     (result_bytes uninterrupted.Soak.result)
     (result_bytes survived.Soak.result);
-  Alcotest.(check int64) "same horizon" uninterrupted.Soak.sim_ns
+  Alcotest.(check int) "same horizon" uninterrupted.Soak.sim_ns
     survived.Soak.sim_ns
 
 (* --- warm-start cache ------------------------------------------------------ *)
@@ -535,6 +547,36 @@ let test_soak_falls_back_past_corrupt_image () =
    no-op (factor 1.0) and the other's a real slowdown: bisection must name
    the first post-fault checkpoint, the metrics that moved, and a first
    divergent trace event inside the window. *)
+(* [Bisect.pp_divergence] for the planted divergence below, as recorded
+   before simulated time became an immediate int. *)
+let planted_divergence_report =
+  {|first divergent checkpoint: #2 at 300000000ns (last agreement: #1)
+  net.delivered: A=1333 B=1327
+  net.link.vmm0.egress.delivered: A=83 B=77
+  vmm.0.dom0_ns: A=28850000 B=28550000
+  vmm.0.slices: A=1501 B=1376
+  vmm.0.vm0.disk_interrupts: A=16 B=15
+  vmm.0.vm0.inter_delivery_ns: A=histogram(count=74,total=274200000ns) B=histogram(count=69,total=244600000ns)
+  vmm.0.vm0.median.source.r0: A=25.166666666666647 B=21.833333333333325
+  vmm.0.vm0.median.source.r1: A=26.166666666666643 B=27.833333333333321
+  vmm.0.vm0.median.source.r2: A=25.666666666666643 B=27.333333333333321
+  vmm.0.vm0.net_deliveries: A=75 B=70
+  vmm.1.vm0.median.source.r0: A=25.166666666666647 B=21.833333333333325
+  vmm.1.vm0.median.source.r1: A=26.166666666666643 B=27.833333333333321
+  vmm.1.vm0.median.source.r2: A=25.666666666666643 B=27.333333333333321
+  vmm.2.vm0.median.source.r0: A=25.166666666666647 B=21.833333333333325
+  vmm.2.vm0.median.source.r1: A=26.166666666666643 B=27.833333333333321
+  vmm.2.vm0.median.source.r2: A=25.666666666666643 B=27.333333333333321
+  workload.cls.large.response_ns: A=histogram(count=4,total=233099709ns) B=histogram(count=4,total=233220296ns)
+  workload.cls.small.response_ns: A=histogram(count=23,total=590452193ns) B=histogram(count=23,total=590698910ns)
+  workload.response_hit_ns: A=histogram(count=13,total=245322475ns) B=histogram(count=13,total=245459410ns)
+  workload.response_miss_ns: A=histogram(count=16,total=631572175ns) B=histogram(count=16,total=631802544ns)
+  ... and 1 more metrics
+  first divergent event (position 928):
+    A: [250.200ms] vm-exit    vm0/r0@m0 exit at virt=250.200ms instr=250200000
+    B: [250.200ms] vm-exit    vm0/r1@m1 exit at virt=250.200ms instr=250200000
+|}
+
 let test_bisect_finds_planted_divergence () =
   let mk factor name =
     soak_scenario ~name ~seed:5L
@@ -550,7 +592,7 @@ let test_bisect_finds_planted_divergence () =
       (* Grid every 100ms; the fault lands at 250ms, so checkpoints 0-1
          agree and #2 (t=300ms) is the first divergent one. *)
       Alcotest.(check int) "first divergent checkpoint" 2 d.Bisect.index;
-      Alcotest.(check int64) "at the grid instant" 300_000_000L d.Bisect.sim_ns;
+      Alcotest.(check int) "at the grid instant" 300_000_000 d.Bisect.sim_ns;
       Alcotest.(check (option int)) "last agreement" (Some 1)
         d.Bisect.last_common;
       Alcotest.(check bool) "metrics moved" true (d.Bisect.metric_diff <> []);
@@ -559,8 +601,10 @@ let test_bisect_finds_planted_divergence () =
       | Some (_, ea, eb) ->
           Alcotest.(check bool) "both sides produced an event" true
             (ea <> None && eb <> None));
-      (* The printed report renders without raising. *)
-      ignore (Format.asprintf "%a" Bisect.pp_divergence d)
+      (* The printed report is byte-identical to the one int64-time builds
+         printed for this scenario. *)
+      Alcotest.(check string) "report bytes" planted_divergence_report
+        (Format.asprintf "%a" Bisect.pp_divergence d)
 
 let test_bisect_agreement_is_not_divergence () =
   let scenario = soak_scenario ~name:"bisect-same" ~seed:9L () in
@@ -635,6 +679,7 @@ let () =
           Alcotest.test_case "corruption detected" `Quick test_image_corrupt;
           Alcotest.test_case "version and magic checked" `Quick
             test_image_version_and_magic;
+          Alcotest.test_case "v1 image rejected" `Quick test_image_v1_rejected;
           Alcotest.test_case "crash mid-write leaves prior image valid" `Quick
             test_store_crash_mid_write;
         ] );

@@ -44,7 +44,7 @@ let test_json_roundtrips_export () =
   (* The reader accepts what our own emitters produce. *)
   let r = Registry.create () in
   Registry.Counter.add (Registry.counter r "net.delivered") 3;
-  Registry.Histogram.observe (Registry.histogram r "lat") 12_345L;
+  Registry.Histogram.observe (Registry.histogram r "lat") 12_345;
   let meta = Export.meta ~seed:42L ~scenario:"t" ~trace_dropped:0 () in
   let s = Export.to_json_string ~meta (Registry.snapshot r) in
   match Json.parse s with

@@ -81,7 +81,7 @@ let test_histogram () =
   let h = Registry.histogram r "lat" in
   Alcotest.(check int64) "max sentinel" Int64.min_int (Registry.Histogram.max h);
   Alcotest.(check int64) "min sentinel" Int64.max_int (Registry.Histogram.min h);
-  List.iter (Registry.Histogram.observe h) [ 10L; 1_000L; 10L; 999_999L ];
+  List.iter (Registry.Histogram.observe h) [ 10; 1_000; 10; 999_999 ];
   Alcotest.(check int) "count" 4 (Registry.Histogram.count h);
   Alcotest.(check int64) "total" 1_001_019L (Registry.Histogram.total h);
   Alcotest.(check int64) "max" 999_999L (Registry.Histogram.max h);
@@ -127,10 +127,52 @@ let prop_bucket_index =
     QCheck.(int_bound 1_000_000_000)
     (fun n ->
       let v = Int64.of_int n in
-      let i = Buckets.index v in
+      let i = Buckets.index n in
       let upper_ok = Int64.compare v (Buckets.bound i) <= 0 in
       let lower_ok = i = 0 || Int64.compare (Buckets.bound (i - 1)) v < 0 in
       upper_ok && lower_ok)
+
+(* The int search against the int64 search it replaced, at every bound,
+   one either side of it, and at the top of the int range (the catch-all). *)
+let int64_index v =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi) / 2 in
+      if Int64.compare (Buckets.bound mid) v >= 0 then go lo mid
+      else go (mid + 1) hi
+    end
+  in
+  if Int64.compare v 1L <= 0 then 0 else go 0 (Buckets.count - 1)
+
+let test_bucket_index_matches_int64_search () =
+  let probes =
+    List.concat
+      (List.init (Buckets.count - 1) (fun i ->
+           let b = Int64.to_int (Buckets.bound i) in
+           [ b - 1; b; b + 1 ]))
+    @ [ min_int; -1; 0; max_int - 1; max_int ]
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check int)
+        (Printf.sprintf "index %d" v)
+        (int64_index (Int64.of_int v))
+        (Buckets.index v))
+    probes;
+  Alcotest.(check int) "catch-all" (Buckets.count - 1) (Buckets.index max_int)
+
+let test_empty_histogram_sentinels () =
+  let r = Registry.create () in
+  ignore (Registry.histogram r "idle");
+  match Snapshot.histogram (Registry.snapshot r) "idle" with
+  | None -> Alcotest.fail "histogram missing from snapshot"
+  | Some h ->
+      Alcotest.(check int) "count" 0 h.Snapshot.count;
+      Alcotest.(check int64) "total" 0L h.Snapshot.total;
+      Alcotest.(check int64) "min sentinel" Int64.max_int h.Snapshot.min;
+      Alcotest.(check int64) "max sentinel" Int64.min_int h.Snapshot.max;
+      Alcotest.(check (list (pair int int))) "no buckets" [] h.Snapshot.buckets
 
 (* --- Snapshot merge: arbitrary partitions --------------------------------- *)
 
@@ -156,7 +198,7 @@ let apply r = function
   | Observe (p, v) ->
       Registry.Histogram.observe
         (Registry.histogram r (Printf.sprintf "h%d" p))
-        (Int64.of_int v)
+        v
 
 let op_gen =
   QCheck.Gen.(
@@ -234,7 +276,7 @@ let test_export_matches_report () =
   let r = Registry.create () in
   Registry.Counter.add (Registry.counter r "a") 7;
   Registry.Gauge.observe (Registry.gauge r "b") 2.25;
-  Registry.Histogram.observe (Registry.histogram r "c") 12_345L;
+  Registry.Histogram.observe (Registry.histogram r "c") 12_345;
   let snapshot = Registry.snapshot r in
   Alcotest.(check string) "exporters agree"
     (Export.to_json_string snapshot)
@@ -350,12 +392,16 @@ let () =
           Alcotest.test_case "gauge observe_int" `Quick test_gauge_observe_int;
           Alcotest.test_case "enabled switch" `Quick test_enabled_switch;
           Alcotest.test_case "histogram" `Quick test_histogram;
+          Alcotest.test_case "empty histogram sentinels" `Quick
+            test_empty_histogram_sentinels;
           Alcotest.test_case "path validation" `Quick test_path_validation;
         ] );
       ( "buckets",
         [
           Alcotest.test_case "bounds monotone" `Quick test_bucket_bounds_monotone;
           QCheck_alcotest.to_alcotest prop_bucket_index;
+          Alcotest.test_case "index matches the int64 search" `Quick
+            test_bucket_index_matches_int64_search;
         ] );
       ( "merge",
         [

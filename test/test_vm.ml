@@ -11,27 +11,27 @@ module Guest = Sw_vm.Guest
 
 let test_vt_linear () =
   let vt = Vt.create ~start:(Time.ms 5) ~slope_ns_per_branch:1.0 () in
-  Alcotest.(check int64) "at 0" (Time.ms 5) (Vt.virt_at vt 0L);
-  Alcotest.(check int64) "at 1e6" (Time.ms 6) (Vt.virt_at vt 1_000_000L)
+  Alcotest.(check int) "at 0" (Time.ms 5) (Vt.virt_at vt 0);
+  Alcotest.(check int) "at 1e6" (Time.ms 6) (Vt.virt_at vt 1_000_000)
 
 let test_vt_fractional_slope () =
   let vt = Vt.create ~start:Time.zero ~slope_ns_per_branch:0.5 () in
-  Alcotest.(check int64) "half speed" (Time.ms 1) (Vt.virt_at vt 2_000_000L)
+  Alcotest.(check int) "half speed" (Time.ms 1) (Vt.virt_at vt 2_000_000)
 
 let test_vt_set_slope_continuous () =
   let vt = Vt.create ~start:Time.zero ~slope_ns_per_branch:2.0 () in
-  let before = Vt.virt_at vt 1000L in
-  Vt.set_slope vt ~at_instr:1000L ~slope_ns_per_branch:1.0;
-  Alcotest.(check int64) "continuous at switch" before (Vt.virt_at vt 1000L);
-  Alcotest.(check int64) "new slope applies"
+  let before = Vt.virt_at vt 1000 in
+  Vt.set_slope vt ~at_instr:1000 ~slope_ns_per_branch:1.0;
+  Alcotest.(check int) "continuous at switch" before (Vt.virt_at vt 1000);
+  Alcotest.(check int) "new slope applies"
     (Time.add before (Time.ns 500))
-    (Vt.virt_at vt 1500L)
+    (Vt.virt_at vt 1500)
 
 let test_vt_rejects_past () =
   let vt = Vt.create ~start:Time.zero ~slope_ns_per_branch:1.0 () in
-  Vt.set_slope vt ~at_instr:100L ~slope_ns_per_branch:1.0;
+  Vt.set_slope vt ~at_instr:100 ~slope_ns_per_branch:1.0;
   Alcotest.check_raises "before segment" (Invalid_argument "x") (fun () ->
-      try ignore (Vt.virt_at vt 50L) with
+      try ignore (Vt.virt_at vt 50) with
       | Invalid_argument _ -> raise (Invalid_argument "x"))
 
 let test_vt_clamp () =
@@ -44,11 +44,11 @@ let prop_vt_monotone =
     QCheck.(pair (float_range 0.01 10.) (list (int_bound 1_000_000)))
     (fun (slope, increments) ->
       let vt = Vt.create ~start:Time.zero ~slope_ns_per_branch:slope () in
-      let instr = ref 0L in
+      let instr = ref 0 in
       List.for_all
         (fun inc ->
           let before = Vt.virt_at vt !instr in
-          instr := Int64.add !instr (Int64.of_int inc);
+          instr := !instr + inc;
           Time.(Vt.virt_at vt !instr >= before))
         increments)
 
@@ -61,14 +61,88 @@ let prop_vt_instr_for_virt_inverse =
       let v = Time.ns v_ns in
       let i = Vt.instr_for_virt vt v in
       Time.(Vt.virt_at vt i >= v)
-      && (Int64.compare i 0L = 0 || Time.(Vt.virt_at vt (Int64.sub i 1L) < v)))
+      && (i = 0 || Time.(Vt.virt_at vt (i - 1) < v)))
+
+(* The int clock against the int64 arithmetic it replaced, evaluated where
+   that arithmetic cannot overflow: [(d * slope_fp) lsr 20] while the
+   product fits 63 bits, and the ceiling division while [dv lsl 20] does.
+   Small slopes carry the deltas well past 2^42 branches. *)
+let fp_of slope = Int64.of_float (Float.round (slope *. 1048576.))
+
+let ref_virt ~base_virt ~base_instr ~s instr =
+  Int64.(
+    add base_virt
+      (shift_right_logical (mul (sub instr base_instr) s) 20))
+
+let ref_instr ~base_virt ~base_instr ~s v =
+  if Int64.compare v base_virt <= 0 then base_instr
+  else
+    let num = Int64.shift_left (Int64.sub v base_virt) 20 in
+    Int64.(add base_instr (div (add num (sub s 1L)) s))
+
+let prop_vt_matches_int64_reference =
+  QCheck.Test.make ~name:"virt_at and instr_for_virt equal the int64 reference"
+    ~count:1000
+    QCheck.(
+      quad
+        (pair (float_range 0.01 10.) (float_range 0.01 10.))
+        (int_bound (1 lsl 30))
+        (pair (int_bound ((1 lsl 30) - 1)) (int_bound ((1 lsl 30) - 1)))
+        (pair (int_bound ((1 lsl 30) - 1)) (int_bound ((1 lsl 30) - 1))))
+    (fun ((slope0, slope1), start, (at_hi, at_lo), (d_hi, d_lo)) ->
+      let start = Time.ns (start lsl 10) in
+      let at = (at_hi lsl 10) lor (at_lo land 0x3FF) in
+      let vt = Vt.create ~start ~slope_ns_per_branch:slope0 () in
+      Vt.set_slope vt ~at_instr:at ~slope_ns_per_branch:slope1;
+      let s0 = fp_of slope0 and s1 = fp_of slope1 in
+      let base_virt =
+        ref_virt ~base_virt:(Int64.of_int start) ~base_instr:0L ~s:s0
+          (Int64.of_int at)
+      in
+      let base_instr = Int64.of_int at in
+      (* Up to 2^46 branches past the segment start, capped where the
+         reference's int64 product would overflow; products past 2^62 are
+         kept, since an unsplit 63-bit product would overflow there. *)
+      let cap = Int64.to_int (Int64.div Int64.max_int s1) in
+      let d = ((d_hi lsl 16) lor (d_lo land 0xFFFF)) mod cap in
+      let instr = at + d in
+      let virt_ok =
+        Int64.of_int (Vt.virt_at vt instr)
+        = ref_virt ~base_virt ~base_instr ~s:s1 (Int64.of_int instr)
+      in
+      (* Virtual-time deltas below 2^42 ns keep [dv lsl 20] in range. *)
+      let dv = ((d_lo lsl 12) lor (d_hi land 0xFFF)) land ((1 lsl 42) - 1) in
+      let v = Time.add (Int64.to_int base_virt) (Time.ns dv) in
+      let instr_ok =
+        Int64.of_int (Vt.instr_for_virt vt v)
+        = ref_instr ~base_virt ~base_instr ~s:s1 (Int64.of_int v)
+      in
+      virt_ok && instr_ok)
+
+let test_vt_large_deltas () =
+  (* Fixed points past 2^42 branches, where the split product matters. *)
+  List.iter
+    (fun (slope, d) ->
+      let vt = Vt.create ~start:Time.zero ~slope_ns_per_branch:slope () in
+      let s = fp_of slope in
+      Alcotest.(check int64)
+        (Printf.sprintf "virt_at %g %d" slope d)
+        (ref_virt ~base_virt:0L ~base_instr:0L ~s (Int64.of_int d))
+        (Int64.of_int (Vt.virt_at vt d)))
+    [
+      (1.0, (1 lsl 42) + 12_345);
+      (0.5, (1 lsl 43) + 1);
+      (0.25, (1 lsl 44) - 1);
+      (0.1, (1 lsl 45) + 999_999);
+      (1.7, (1 lsl 42) + (1 lsl 20) - 1);
+    ]
 
 (* --- Guest runtime ------------------------------------------------------------ *)
 
 type recorded =
-  | Sent of { seq : int; instr : int64; size : int }
-  | Disk of { kind : [ `Read | `Write ]; bytes : int; tag : int; instr : int64 }
-  | Dma of { bytes : int; tag : int; instr : int64 }
+  | Sent of { seq : int; instr : int; size : int }
+  | Disk of { kind : [ `Read | `Write ]; bytes : int; tag : int; instr : int }
+  | Dma of { bytes : int; tag : int; instr : int }
 
 let make_guest ?pit_period app_handle =
   let events = ref [] in
@@ -94,9 +168,9 @@ type Sw_net.Packet.payload += Dummy
 let test_guest_idle_spins () =
   let guest, _ = make_guest (fun ~virt_now:_ _ -> []) in
   Guest.boot guest;
-  Guest.run_branches guest 1000L;
-  Alcotest.(check int64) "instr advances while idle" 1000L (Guest.instr guest);
-  Alcotest.(check int64) "virt follows" (Time.ns 1000) (Guest.virt_now guest)
+  Guest.run_branches guest 1000;
+  Alcotest.(check int) "instr advances while idle" 1000 (Guest.instr guest);
+  Alcotest.(check int) "virt follows" (Time.ns 1000) (Guest.virt_now guest)
 
 let test_guest_compute_then_send () =
   let guest, events =
@@ -104,17 +178,17 @@ let test_guest_compute_then_send () =
         match ev with
         | App.Boot ->
             [
-              App.Compute 500L;
+              App.Compute 500;
               App.Send { dst = Sw_net.Address.Host 0; size = 64; payload = Dummy };
-              App.Compute 200L;
+              App.Compute 200;
               App.Send { dst = Sw_net.Address.Host 0; size = 65; payload = Dummy };
             ]
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 1000L;
+  Guest.run_branches guest 1000;
   match List.rev !events with
-  | [ Sent { seq = 0; instr = 500L; size = 64 }; Sent { seq = 1; instr = 700L; size = 65 } ]
+  | [ Sent { seq = 0; instr = 500; size = 64 }; Sent { seq = 1; instr = 700; size = 65 } ]
     ->
       Alcotest.(check int) "sent count" 2 (Guest.sent_packets guest)
   | _ -> Alcotest.fail "sends must fire at exact branch offsets with ordered seqs"
@@ -125,17 +199,17 @@ let test_guest_compute_spans_slices () =
         match ev with
         | App.Boot ->
             [
-              App.Compute 1500L;
+              App.Compute 1500;
               App.Send { dst = Sw_net.Address.Host 0; size = 64; payload = Dummy };
             ]
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 1000L;
+  Guest.run_branches guest 1000;
   Alcotest.(check int) "not yet" 0 (List.length !events);
-  Guest.run_branches guest 1000L;
+  Guest.run_branches guest 1000;
   match !events with
-  | [ Sent { instr = 1500L; _ } ] -> ()
+  | [ Sent { instr = 1500; _ } ] -> ()
   | _ -> Alcotest.fail "send fires mid second slice at branch 1500"
 
 let test_guest_disk_sink () =
@@ -149,7 +223,7 @@ let test_guest_disk_sink () =
   in
   Guest.boot guest;
   (match !events with
-  | [ Disk { kind = `Read; bytes = 4096; tag = 9; instr = 0L } ] -> ()
+  | [ Disk { kind = `Read; bytes = 4096; tag = 9; instr = 0 } ] -> ()
   | _ -> Alcotest.fail "read issued at boot");
   Guest.inject guest (App.Disk_done { tag = 9 });
   match !events with
@@ -160,14 +234,14 @@ let test_guest_dma_sink () =
   let guest, events =
     make_guest (fun ~virt_now:_ ev ->
         match ev with
-        | App.Boot -> [ App.Compute 100L; App.Dma_transfer { bytes = 4096; tag = 3 } ]
+        | App.Boot -> [ App.Compute 100; App.Dma_transfer { bytes = 4096; tag = 3 } ]
         | App.Dma_done { tag } -> [ App.Dma_transfer { bytes = 64; tag = tag + 1 } ]
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 1000L;
+  Guest.run_branches guest 1000;
   (match List.rev !events with
-  | [ Dma { bytes = 4096; tag = 3; instr = 100L } ] -> ()
+  | [ Dma { bytes = 4096; tag = 3; instr = 100 } ] -> ()
   | _ -> Alcotest.fail "dma issued after compute");
   Guest.inject guest (App.Dma_done { tag = 3 });
   match !events with
@@ -191,9 +265,9 @@ let test_guest_timers_fire_in_order () =
   in
   Guest.boot guest;
   (match Guest.next_timer_virt guest with
-  | Some d -> Alcotest.(check int64) "earliest deadline" (Time.us 10) d
+  | Some d -> Alcotest.(check int) "earliest deadline" (Time.us 10) d
   | None -> Alcotest.fail "timer expected");
-  Guest.run_branches guest 100_000L;
+  Guest.run_branches guest 100_000;
   Guest.deliver_due_timers guest;
   Alcotest.(check (list int)) "deadline order" [ 1; 2 ] (List.rev !fired)
 
@@ -208,7 +282,7 @@ let test_guest_pit_ticks () =
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 1_000_000L;
+  Guest.run_branches guest 1_000_000;
   (* 1 ms of virtual time with a 100 us PIT = 10 ticks. *)
   Guest.deliver_due_timers guest;
   Alcotest.(check int) "tick count" 10 !ticks
@@ -227,9 +301,9 @@ let test_guest_timer_at_injection_virt () =
         | _ -> [])
   in
   Guest.boot guest;
-  Guest.run_branches guest 50_000L;
+  Guest.run_branches guest 50_000;
   Guest.deliver_due_timers guest;
-  Alcotest.(check int64) "observed at exit" (Time.us 50) !observed
+  Alcotest.(check int) "observed at exit" (Time.us 50) !observed
 
 let prop_guest_deterministic_replicas =
   QCheck.Test.make
@@ -240,9 +314,9 @@ let prop_guest_deterministic_replicas =
         match ev with
         | App.Boot ->
             [
-              App.Compute 1000L;
+              App.Compute 1000;
               App.Send { dst = Sw_net.Address.Host 0; size = 10; payload = Dummy };
-              App.Compute 5000L;
+              App.Compute 5000;
               App.Send { dst = Sw_net.Address.Host 0; size = 11; payload = Dummy };
             ]
         | _ -> []
@@ -250,7 +324,7 @@ let prop_guest_deterministic_replicas =
       let run () =
         let guest, events = make_guest (app ()) in
         Guest.boot guest;
-        List.iter (fun s -> Guest.run_branches guest (Int64.of_int s)) slices;
+        List.iter (fun s -> Guest.run_branches guest s) slices;
         (Guest.instr guest, !events)
       in
       run () = run ())
@@ -280,7 +354,7 @@ let test_clocks_pit_counter () =
     (Sw_vm.Clocks.pit_counter clocks ~virt:(Time.us 250));
   Alcotest.(check int) "wrapped" 1000
     (Sw_vm.Clocks.pit_counter clocks ~virt:(Time.ms 1));
-  Alcotest.(check int64) "interrupt period" (Time.ms 1)
+  Alcotest.(check int) "interrupt period" (Time.ms 1)
     (Sw_vm.Clocks.pit_interrupt_period clocks)
 
 let prop_clocks_deterministic =
@@ -315,6 +389,9 @@ let () =
           Alcotest.test_case "clamp" `Quick test_vt_clamp;
           QCheck_alcotest.to_alcotest prop_vt_monotone;
           QCheck_alcotest.to_alcotest prop_vt_instr_for_virt_inverse;
+          QCheck_alcotest.to_alcotest prop_vt_matches_int64_reference;
+          Alcotest.test_case "deltas past 2^42 branches" `Quick
+            test_vt_large_deltas;
         ] );
       ( "guest",
         [
