@@ -58,8 +58,10 @@ let contiguous_partition ~machines ~shards =
 
 (* Domain-per-shard only pays off with a core per shard; on a single-core
    host the workers just time-slice through the barrier, so default to the
-   sequential windowed driver there. Byte-identical either way. *)
-let default_parallel = lazy (Domain.recommended_domain_count () > 1)
+   sequential windowed driver there. Byte-identical either way. A plain
+   value, not a [lazy]: clouds are built on several domains at once, and
+   forcing one lazy from two domains raises [CamlinternalLazy.Undefined]. *)
+let default_parallel = Domain.recommended_domain_count () > 1
 
 (* Owning shard of a delivery target, as seen from shard [self]: per-shard
    addresses (Ingress, Egress, broadcast) and unknown ids resolve to
@@ -98,7 +100,7 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
     ?(clock_spread = Time.zero) ?profile ?(shards = 1) ?parallel
     ?(partition = `Contiguous) ?(lookahead = `Pairwise) ~machines () =
   let parallel =
-    match parallel with Some p -> p | None -> Lazy.force default_parallel
+    match parallel with Some p -> p | None -> default_parallel
   in
   if machines < 1 then invalid_arg "Cloud.create: need at least one machine";
   if shards < 1 then invalid_arg "Cloud.create: need at least one shard";

@@ -15,6 +15,13 @@ let equal a b =
 let compare = Stdlib.compare
 let hash = Hashtbl.hash
 
+module Table = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let pp fmt = function
   | Vm i -> Format.fprintf fmt "vm%d" i
   | Vmm i -> Format.fprintf fmt "vmm%d" i

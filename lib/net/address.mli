@@ -13,3 +13,7 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+(** Hash tables keyed by address, with the monomorphic {!equal}. [hash] is
+    {!hash}, so iteration order matches a generic [Hashtbl.t]'s. *)
+module Table : Hashtbl.S with type key = t

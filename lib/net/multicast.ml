@@ -19,15 +19,6 @@ let group_of_packet (pkt : Packet.t) =
       Some group
   | _ -> None
 
-type group = {
-  network : Network.t;
-  group_id : int;
-  members : Address.t list;
-  nak_delay : Time.t;
-  nak_retries : int;
-  heartbeat : Time.t option;
-}
-
 (* Per-sender receive state at one endpoint. NAK recovery is a bounded
    retry loop: one outstanding cycle per sender, exponential backoff between
    attempts, and after [nak_retries] re-sends of the same leading gap the
@@ -39,17 +30,34 @@ type rx = {
   mutable nak_attempt : int;  (** 0 = no cycle outstanding; else attempt #. *)
   mutable nak_at : int;  (** [next_expected] when the current gap was first NAKed. *)
   mutable nak_through : int;  (** Highest mseq known to exist from this sender. *)
+  mutable naks_out : int;  (** NAKs sent to this sender that it has not handled. *)
+  mutable nak_floor : int;
+      (** Lowest [from_mseq] sent since [naks_out] was last 0, else [max_int]. *)
 }
 
-type endpoint = {
+type group = {
+  network : Network.t;
+  group_id : int;
+  members : Address.t list;
+  nak_delay : Time.t;
+  nak_retries : int;
+  heartbeat : Time.t option;
+  (* Every endpoint of a group lives on one engine (replica groups are
+     partition atoms), so a sender may read its peers' receive state. *)
+  mutable endpoints : endpoint list;
+}
+
+and endpoint = {
   g : group;
   self : Address.t;
   transmit : Packet.t -> unit;
   deliver : Packet.t -> unit;
-  (* Sent history for retransmission, keyed by mseq. *)
+  (* Sent history for retransmission, keyed by mseq: exactly the mseqs in
+     [trail, next_mseq). *)
   history : Packet.t Int_table.t;
+  mutable trail : int;
   mutable next_mseq : int;
-  rx_states : (Address.t, rx) Hashtbl.t;
+  rx_states : rx Address.Table.t;
   mutable partitioned : bool;
   (* Metric paths key on the member's address, not the group id: group ids
      come from a cross-domain atomic counter, so using them would make
@@ -71,7 +79,7 @@ let group network ~members ?(nak_delay = Time.us 200) ?(nak_retries = 5)
   if nak_retries < 1 then invalid_arg "Multicast.group: nak_retries must be >= 1";
   { network;
     group_id = 1 + Atomic.fetch_and_add group_counter 1;
-    members; nak_delay; nak_retries; heartbeat }
+    members; nak_delay; nak_retries; heartbeat; endpoints = [] }
 
 let group_id g = g.group_id
 
@@ -107,6 +115,8 @@ let start_heartbeat e period =
 let endpoint g ~self ?transmit ~deliver () =
   if not (List.exists (Address.equal self) g.members) then
     invalid_arg "Multicast.endpoint: self not a group member";
+  if List.exists (fun p -> Address.equal p.self self) g.endpoints then
+    invalid_arg "Multicast.endpoint: self already has an endpoint";
   let transmit =
     match transmit with Some f -> f | None -> Network.send g.network
   in
@@ -119,8 +129,9 @@ let endpoint g ~self ?transmit ~deliver () =
       transmit;
       deliver;
       history = Int_table.create 64;
+      trail = 0;
       next_mseq = 0;
-      rx_states = Hashtbl.create 8;
+      rx_states = Address.Table.create 8;
       partitioned = false;
       m_retransmissions =
         Sw_obs.Registry.counter metrics
@@ -136,8 +147,36 @@ let endpoint g ~self ?transmit ~deliver () =
           (Printf.sprintf "net.mcast.%s.partition_drops" addr);
     }
   in
+  g.endpoints <- e :: g.endpoints;
   Option.iter (start_heartbeat e) g.heartbeat;
   e
+
+let rec edge_over ~self edge = function
+  | [] -> edge
+  | p :: rest when Address.equal p.self self -> edge_over ~self edge rest
+  | p :: rest -> (
+      match Address.Table.find p.rx_states self with
+      | rx ->
+          edge_over ~self (Int.min edge (Int.min rx.next_expected rx.nak_floor)) rest
+      | exception Not_found -> 0)
+
+(* The trailing edge of [e]'s history: the lowest mseq a NAK could still
+   ask of it. A peer's [next_expected] only moves forward and it NAKs only
+   from there, so below it only a NAK already in flight can still ask, and
+   [nak_floor] bounds those. A member without an endpoint, or a peer that
+   has not yet heard from [e], could still ask for mseq 0. *)
+let trailing_edge e =
+  if List.compare_lengths e.g.endpoints e.g.members < 0 then 0
+  else edge_over ~self:e.self max_int e.g.endpoints
+
+let trim e =
+  let edge = trailing_edge e in
+  if edge > e.trail then begin
+    for mseq = e.trail to edge - 1 do
+      Int_table.remove e.history mseq
+    done;
+    e.trail <- edge
+  end
 
 let publish e ~size payload =
   let mseq = e.next_mseq in
@@ -151,17 +190,19 @@ let publish e ~size payload =
       in
       Int_table.replace e.history mseq pkt;
       xmit e pkt)
-    (peers e)
+    (peers e);
+  trim e
 
 let rx_state e origin =
-  match Hashtbl.find_opt e.rx_states origin with
+  match Address.Table.find_opt e.rx_states origin with
   | Some rx -> rx
   | None ->
       let rx =
         { next_expected = 0; buffered = Int_table.create 8;
-          nak_attempt = 0; nak_at = 0; nak_through = -1 }
+          nak_attempt = 0; nak_at = 0; nak_through = -1;
+          naks_out = 0; nak_floor = max_int }
       in
-      Hashtbl.add e.rx_states origin rx;
+      Address.Table.add e.rx_states origin rx;
       rx
 
 (* Deliver any in-order buffered packets for this sender. *)
@@ -218,6 +259,13 @@ let rec nak_cycle e origin rx =
            end
            else begin
              Sw_obs.Registry.Counter.incr e.m_naks;
+             (* Only a NAK that leaves the endpoint is in flight: a lost
+                one is never handled, so it pins the sender's trailing
+                edge at its [from_mseq] for good. *)
+             if not e.partitioned then begin
+               rx.naks_out <- rx.naks_out + 1;
+               rx.nak_floor <- Int.min rx.nak_floor rx.next_expected
+             end;
              send_to e ~dst:origin ~size:64
                (Mcast_nak
                   {
@@ -238,6 +286,17 @@ let request_missing e origin rx ~through =
     rx.nak_at <- rx.next_expected;
     nak_cycle e origin rx
   end
+
+(* [e] has handled a NAK from [nak_src]: it is no longer in flight. *)
+let nak_handled e ~nak_src =
+  match List.find_opt (fun p -> Address.equal p.self nak_src) e.g.endpoints with
+  | None -> ()
+  | Some p -> (
+      match Address.Table.find_opt p.rx_states e.self with
+      | None -> ()
+      | Some rx ->
+          rx.naks_out <- rx.naks_out - 1;
+          if rx.naks_out = 0 then rx.nak_floor <- max_int)
 
 let unwrap_data (pkt : Packet.t) ~mseq ~inner =
   { pkt with Packet.payload = inner; seq = mseq }
@@ -260,7 +319,14 @@ let handle e (pkt : Packet.t) =
       end
   | Mcast_nak { group; from_mseq; to_mseq; _ } ->
       if group <> e.g.group_id then ()
-      else
+      else begin
+        nak_handled e ~nak_src:pkt.src;
+        if from_mseq < e.trail then
+          failwith
+            (Printf.sprintf
+               "Multicast: %s NAKed %s for mseq %d, behind its trailing edge %d"
+               (Address.to_string pkt.src) (Address.to_string e.self)
+               from_mseq e.trail);
         for mseq = from_mseq to to_mseq do
           match Int_table.find_opt e.history mseq with
           | None -> ()
@@ -272,6 +338,7 @@ let handle e (pkt : Packet.t) =
               in
               xmit e pkt'
         done
+      end
   | Mcast_heartbeat { group; last_mseq } ->
       if group <> e.g.group_id then ()
       else begin
@@ -282,6 +349,7 @@ let handle e (pkt : Packet.t) =
   | _ -> invalid_arg "Multicast.handle: not a multicast packet"
 
 let retransmissions e = Sw_obs.Registry.Counter.value e.m_retransmissions
+let history_length e = Int_table.length e.history
 let naks_sent e = Sw_obs.Registry.Counter.value e.m_naks
 let gaps_abandoned e = Sw_obs.Registry.Counter.value e.m_abandoned
 let partition_drops e = Sw_obs.Registry.Counter.value e.m_partition_drops

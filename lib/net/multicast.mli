@@ -5,7 +5,20 @@
     Each member owns an {!endpoint}. Data published by one member reaches
     every other member exactly once and in per-sender order; gaps detected by
     a receiver trigger negative acknowledgements and retransmission. Optional
-    heartbeats recover tail losses. *)
+    heartbeats recover tail losses.
+
+    {b History retention.} A sender keeps a published packet for
+    retransmission only while a NAK could still ask for it, and drops it
+    behind the exact trailing edge, as PGM drops data behind its transmit
+    window's trailing edge. A receiver NAKs only from its [next_expected],
+    which only moves forward, so each [publish] removes every mseq below
+    the lowest, over the group's other endpoints, of that receiver's
+    [next_expected] and of the lowest [from_mseq] among its NAKs still in
+    flight. A NAK the network loses is never handled and so keeps the
+    history from its [from_mseq] on. Retransmissions are therefore exactly
+    those of an unbounded history, and history size tracks loss, not
+    elapsed time. The group's endpoints read each other's receive state
+    directly, so they must all run on one engine. *)
 
 type endpoint
 
@@ -33,7 +46,9 @@ val group :
 val group_id : group -> int
 
 (** [endpoint g ~self ?transmit ~deliver ()] creates the member endpoint for
-    address [self] (which must be in the group's member list). [deliver] is
+    address [self], which must be in the group's member list and have no
+    endpoint yet. Until every member has one, nothing is trimmed from any
+    history. [deliver] is
     invoked for each published payload, in per-sender order. [transmit]
     overrides how protocol packets enter the network (default
     [Network.send]); a VMM passes its machine's NIC-transmit so multicast
@@ -52,7 +67,9 @@ val publish : endpoint -> size:int -> Packet.payload -> unit
 
 (** [handle e pkt] must be called by the owner's network handler for every
     incoming multicast packet (recognisable via {!is_mcast}); non-multicast
-    packets are rejected with [Invalid_argument]. *)
+    packets are rejected with [Invalid_argument]. A NAK asking for an mseq
+    behind [e]'s trailing edge raises [Failure]: the retention rule makes
+    that impossible, so it signals a bug, never a lossy network. *)
 val handle : endpoint -> Packet.t -> unit
 
 (** Whether a packet belongs to the multicast protocol. *)
@@ -63,6 +80,11 @@ val group_of_packet : Packet.t -> int option
 
 (** Number of retransmissions this endpoint has served (test observability). *)
 val retransmissions : endpoint -> int
+
+(** Number of published packets this endpoint still keeps for
+    retransmission (test observability). Lossless traffic keeps it at a
+    small constant however long the group runs. *)
+val history_length : endpoint -> int
 
 (** Number of NAKs this endpoint has sent. *)
 val naks_sent : endpoint -> int

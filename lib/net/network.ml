@@ -43,12 +43,7 @@ end
 
 module Pair_tbl = Hashtbl.Make (Addr_pair)
 
-module Addr_tbl = Hashtbl.Make (struct
-  type t = Address.t
-
-  let equal = Address.equal
-  let hash = Address.hash
-end)
+module Addr_tbl = Address.Table
 
 (* Stable int64 identity for stream keying: variant tag in the low bits,
    id above. Never hashed — collisions would silently correlate streams. *)

@@ -26,9 +26,9 @@
     environment start so code pointers are never interpreted as values.
     Cost is linear in the size of the restored graph — the same graph that
     was just unmarshaled — and the walk allocates nothing per block:
-    measured at about 0.3 µs per visited block on a 2-vCPU VM (a 240-host
-    cloud, 105k–197k blocks, in 0.03–0.07 s; [Marshal.from_string] of the
-    same image takes 0.01–0.02 s). *)
+    measured at about 0.25 µs per visited block on a 2-vCPU VM (a 240-host
+    cloud, 1.6–2.0 MB images of 86k–104k blocks, in 0.02–0.03 s;
+    [Marshal.from_string] of the same image takes 0.008–0.011 s). *)
 
 (** [register ec] records a live extension constructor under its
     fully-qualified name (e.g. ["Sw_net__Packet.Egress_tunnel"]).

@@ -557,9 +557,28 @@ let prop_random_apps_stay_in_lockstep =
             rest
       | [] -> false)
 
+let test_create_from_domains () =
+  (* Clouds are built on several runner domains at once. Listed first, so
+     the four domains race on the process's first [Cloud.create]. *)
+  let go = Atomic.make false in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            Cloud.shard_count (Cloud.create ~machines:3 ())))
+  in
+  Atomic.set go true;
+  List.iter
+    (fun d -> Alcotest.(check int) "cloud built" 1 (Domain.join d))
+    domains
+
 let () =
   Alcotest.run "integration"
     [
+      ( "domains",
+        [ Alcotest.test_case "create from 4 domains" `Quick test_create_from_domains ] );
       ( "stopwatch-cloud",
         [
           Alcotest.test_case "all pings answered" `Quick test_all_pings_answered;

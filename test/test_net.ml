@@ -137,12 +137,14 @@ let test_node_link_override () =
 
 (* --- Multicast ---------------------------------------------------------------- *)
 
-let mcast_setup ?(loss = 0.) ?heartbeat () =
-  let engine = Engine.create () in
+let mcast_setup ?seed ?(loss = 0.) ?nak_delay ?nak_retries ?heartbeat () =
+  let engine = Engine.create ?seed () in
   let default = { quiet_link with Net.loss } in
   let net = Net.create engine ~default in
   let members = [ Address.Vmm 0; Address.Vmm 1; Address.Vmm 2 ] in
-  let g = Sw_net.Multicast.group net ~members ?heartbeat () in
+  let g =
+    Sw_net.Multicast.group net ~members ?nak_delay ?nak_retries ?heartbeat ()
+  in
   let received = Hashtbl.create 8 in
   let endpoints =
     List.map
@@ -198,6 +200,127 @@ let test_mcast_loss_recovery () =
         (List.init 20 (fun i -> i + 1))
         tags)
     [ Address.Vmm 1; Address.Vmm 2 ]
+
+let test_mcast_history_bounded () =
+  (* Lossless traffic: receivers keep up, so the sender's history holds only
+     what is still in flight (one 1 ms link at 100 us spacing), not all
+     10,000 packets. *)
+  let engine, endpoints, received = mcast_setup () in
+  let _, ep0 = List.hd endpoints in
+  let n = 10_000 in
+  for i = 0 to n - 1 do
+    ignore
+      (Engine.schedule_at engine (Time.us (100 * i)) (fun () ->
+           Sw_net.Multicast.publish ep0 ~size:100 (Tag i)))
+  done;
+  Engine.run engine;
+  List.iter
+    (fun self ->
+      Alcotest.(check int)
+        (Address.to_string self ^ " got every packet")
+        n
+        (List.length (Hashtbl.find received self)))
+    [ Address.Vmm 1; Address.Vmm 2 ];
+  let kept = Sw_net.Multicast.history_length ep0 in
+  if kept > 16 then Alcotest.failf "history holds %d entries after %d publishes" kept n;
+  Alcotest.(check int) "no retransmissions" 0 (Sw_net.Multicast.retransmissions ep0)
+
+(* Every member publishes [per_sender] tags (sender [s]'s k-th is
+   [Tag (1000 * s + k)]) at staggered 500 us intervals while [windows]
+   [(member, start_ms, length_ms)] cut members off the group. Runs in 10 ms
+   steps until every stream is complete or [deadline] passes, then 50 ms
+   more so NAKs still in flight are handled. Returns the endpoints and, per
+   (receiver, sender) stream, the tags delivered in order. *)
+let mcast_scenario ~seed ~loss ~nak_retries ~per_sender ~windows ~deadline =
+  let engine, endpoints, received =
+    mcast_setup ~seed ~loss ~nak_delay:(Time.us 20) ~nak_retries
+      ~heartbeat:(Time.ms 5) ()
+  in
+  let eps = Array.of_list (List.map snd endpoints) in
+  Array.iteri
+    (fun s ep ->
+      for k = 0 to per_sender - 1 do
+        ignore
+          (Engine.schedule_at engine (Time.us ((500 * k) + (100 * s))) (fun () ->
+               Sw_net.Multicast.publish ep ~size:100 (Tag ((1000 * s) + k))))
+      done)
+    eps;
+  let cuts = Array.make (Array.length eps) 0 in
+  List.iter
+    (fun (m, start_ms, len_ms) ->
+      ignore
+        (Engine.schedule_at engine (Time.ms start_ms) (fun () ->
+             cuts.(m) <- cuts.(m) + 1;
+             Sw_net.Multicast.set_partitioned eps.(m) true));
+      ignore
+        (Engine.schedule_at engine (Time.ms (start_ms + len_ms)) (fun () ->
+             cuts.(m) <- cuts.(m) - 1;
+             if cuts.(m) = 0 then Sw_net.Multicast.set_partitioned eps.(m) false)))
+    windows;
+  let stream r s =
+    let all = match Hashtbl.find_opt received (Address.Vmm r) with Some l -> l | None -> [] in
+    List.rev
+      (List.filter_map
+         (function Tag t when t / 1000 = s -> Some (t mod 1000) | _ -> None)
+         all)
+  in
+  let complete () =
+    List.for_all
+      (fun r ->
+        List.for_all
+          (fun s -> s = r || List.length (stream r s) = per_sender)
+          [ 0; 1; 2 ])
+      [ 0; 1; 2 ]
+  in
+  let step = Time.ms 10 in
+  while (not (complete ())) && Engine.now engine < deadline do
+    Engine.run ~until:(Time.add (Engine.now engine) step) engine
+  done;
+  Engine.run ~until:(Time.add (Engine.now engine) (Time.ms 50)) engine;
+  (eps, stream)
+
+let prop_mcast_streams_complete =
+  QCheck.Test.make ~count:30
+    ~name:"lossy, partitioned streams arrive complete and in order"
+    QCheck.(
+      quad (float_range 0. 0.5) (int_range 1 60)
+        (list_of_size Gen.(0 -- 3) (triple (int_bound 2) (int_bound 30) (int_range 1 20)))
+        (int_bound 1_000_000))
+    (fun (loss, per_sender, windows, seed) ->
+      (* Enough retries that no gap is ever abandoned (at 50% loss a
+         round trip fails with probability 0.75, and a partition burns at
+         most a dozen attempts), so a short stream means lost data. A NAK
+         behind a trailing edge raises out of [run] and fails the case. *)
+      let _, stream =
+        mcast_scenario ~seed:(Int64.of_int seed) ~loss ~nak_retries:80
+          ~per_sender ~windows ~deadline:(Time.s 600)
+      in
+      let expect = List.init per_sender Fun.id in
+      List.for_all
+        (fun r -> List.for_all (fun s -> s = r || stream r s = expect) [ 0; 1; 2 ])
+        [ 0; 1; 2 ])
+
+let test_mcast_lossy_counters () =
+  (* One seeded lossy run with two partition windows and the default retry
+     budget, so gaps are abandoned too. Trimming the history must not
+     change any counter: these are the values of an untrimmed history. *)
+  let eps, _ =
+    mcast_scenario ~seed:14L ~loss:0.3 ~nak_retries:5 ~per_sender:200
+      ~windows:[ (1, 20, 15); (2, 60, 40) ] ~deadline:(Time.s 2)
+  in
+  let got =
+    Array.to_list
+      (Array.map
+         (fun ep ->
+           ( Sw_net.Multicast.retransmissions ep,
+             Sw_net.Multicast.naks_sent ep,
+             Sw_net.Multicast.gaps_abandoned ep ))
+         eps)
+  in
+  Alcotest.(check (list (triple int int int)))
+    "(retransmissions, naks_sent, gaps_abandoned) per member"
+    [ (825, 300, 60); (727, 310, 62); (818, 250, 50) ]
+    got
 
 let test_mcast_rejects_foreign () =
   let engine, endpoints, _ = mcast_setup () in
@@ -334,6 +457,9 @@ let () =
         [
           Alcotest.test_case "basic fan-out" `Quick test_mcast_basic;
           Alcotest.test_case "loss recovery" `Quick test_mcast_loss_recovery;
+          Alcotest.test_case "history stays bounded" `Quick test_mcast_history_bounded;
+          QCheck_alcotest.to_alcotest prop_mcast_streams_complete;
+          Alcotest.test_case "lossy counters unchanged" `Quick test_mcast_lossy_counters;
           Alcotest.test_case "rejects foreign packets" `Quick test_mcast_rejects_foreign;
         ] );
       ( "ingress-egress",
