@@ -1,9 +1,10 @@
 (* `main.exe leak`: the Fig. 4 distinguisher grid through the sw_leak audit.
 
-   Runs the victim / no-victim scenario pair once under StopWatch and once
-   under the baseline VMM, extracts every lineage-attributed observation
-   series (Scenario.leak_series), and sweeps the full detector battery over
-   each pair. Printed per config: the guest-visible verdict (detectors
+   Runs examples/fig4.scn's victim / no-victim scenario pair once under
+   StopWatch and once under the baseline VMM (at this bench's duration),
+   extracts every lineage-attributed observation series
+   (Scenario.leak_series), and sweeps the full detector battery over each
+   pair. Printed per config: the guest-visible verdict (detectors
    flagging any attacker-observable series) and per-series p-values; the
    full audit lands in BENCH_results.json under "leakage". [-quick]
    shrinks the runs to the CI smoke duration. *)
@@ -17,16 +18,6 @@ module Audit = Sw_leak.Audit
 
 let quick = ref false
 
-let starts_with p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let guest_leaking (a : Audit.t) =
-  List.sort_uniq compare
-    (List.concat_map
-       (fun (f : Audit.finding) ->
-         if starts_with "attacker/" f.Audit.f_key then f.Audit.leaking else [])
-       a.Audit.findings)
-
 let p_cell p =
   if Float.is_nan p then "-"
   else if p < 1e-4 then Printf.sprintf "%.0e" p
@@ -37,38 +28,21 @@ let run ?pool () =
     (if !quick then "Leak audit (fig4 grid, quick)"
      else "Leak audit — fig4 grid through the detector battery");
   let duration = if !quick then Time.s 2 else Time.s 20 in
-  let base = { Scenario.default with Scenario.duration } in
   let jobs =
-    List.concat_map
-      (fun baseline ->
-        List.map
-          (fun victim ->
-            let key =
-              Printf.sprintf "leak/%s/%s"
-                (if baseline then "base" else "sw")
-                (if victim then "victim" else "no-victim")
-            in
-            Sw_runner.Job.make ~key (fun ~seed:_ ->
-                Scenario.leak_series { base with Scenario.baseline; victim }))
-          [ false; true ])
-      [ false; true ]
+    List.map
+      (fun (key, spec) ->
+        Sw_runner.Job.make ~key (fun ~seed:_ ->
+            Scenario.leak_series { spec with Scenario.duration }))
+      (Fig4.load_specs ())
   in
   let results = List.map Runner.get (Runner.map ?pool jobs) in
   let registry = Sw_obs.Registry.create () in
-  let paired null alt =
-    List.filter_map
-      (fun (key, null_xs) ->
-        Option.map
-          (fun alt_xs -> { Audit.key; null = null_xs; alt = alt_xs })
-          (List.assoc_opt key alt))
-      null
-  in
   let audits =
     match results with
     | [ sw_null; sw_alt; base_null; base_alt ] ->
         [
-          Audit.run ~registry ~label:"stopwatch" (paired sw_null sw_alt);
-          Audit.run ~registry ~label:"baseline" (paired base_null base_alt);
+          Audit.run ~registry ~label:"stopwatch" (Audit.pair sw_null sw_alt);
+          Audit.run ~registry ~label:"baseline" (Audit.pair base_null base_alt);
         ]
     | _ -> []
   in
@@ -79,7 +53,7 @@ let run ?pool () =
     (fun (a : Audit.t) ->
       Tables.subsection
         (Printf.sprintf "%s: %s" a.Audit.label
-           (match guest_leaking a with
+           (match Audit.guest_leaking a with
            | [] -> "guest-visible channel clean"
            | ds ->
                Printf.sprintf "guest-visible channel LEAKS (%s)"

@@ -2,16 +2,16 @@
    3-replica service cells, east-west traffic at a stride that straddles
    contiguous shard boundaries, and a 100 us rack-local replica
    interconnect below the 500 us fabric) simulated across shard counts and
-   partition/lookahead modes.
+   partitions.
 
    The sweep is built to show exactly the two effects the conductor's fast
    path exists for:
    - the stride makes every east-west edge cross a contiguous block cut,
      while the affinity partitioner packs the stride cycles co-shard (cut
      weight 0) — so partition choice moves real cross-shard message load;
-   - the fast replica links drag the legacy global lookahead to 100 us,
-     while the per-pair matrix keeps every cross-shard floor at 500 us —
-     5x wider windows, 5x fewer barriers.
+   - the fast replica links stay intra-shard under both partitions, so
+     the per-pair lookahead matrix keeps every cross-shard floor at the
+     500 us fabric latency rather than the 100 us rack link.
 
    Two kinds of output, kept strictly apart:
    - "shard_scale" under "experiments": per configuration, the workload
@@ -148,23 +148,16 @@ type config = {
   label : string;
   shards : int;
   partition : [ `Contiguous | `Affinity | `Assign of int array ];
-  lookahead : [ `Global | `Pairwise ];
 }
 
 (* Per configuration: the baseline single shard, then for each shard count
-   the legacy combination (contiguous blocks, one global lookahead scalar)
-   against the fast path (affinity packing, per-pair matrix) — the speedup
-   the perf block records is between those two at equal shard count. *)
+   contiguous blocks against affinity packing — the speedup the perf block
+   records is between those two at equal shard count. *)
 let sweep () =
   let counts =
     match !shards_override with Some s when s > 1 -> [ s ] | _ -> [ 2; 4 ]
   in
-  {
-    label = "shards1";
-    shards = 1;
-    partition = `Contiguous;
-    lookahead = `Pairwise;
-  }
+  { label = "shards1"; shards = 1; partition = `Contiguous }
   :: List.concat_map
        (fun s ->
          [
@@ -172,13 +165,11 @@ let sweep () =
              label = Printf.sprintf "shards%d_contiguous" s;
              shards = s;
              partition = `Contiguous;
-             lookahead = `Global;
            };
            {
              label = Printf.sprintf "shards%d_affinity" s;
              shards = s;
              partition = `Affinity;
-             lookahead = `Pairwise;
            };
          ])
        counts
@@ -197,8 +188,7 @@ type outcome = {
 
 let run_config ~w (cfg : config) =
   let prepare () =
-    Run.prepare ~shards:cfg.shards ~partition:cfg.partition
-      ~lookahead:cfg.lookahead w
+    Run.prepare ~shards:cfg.shards ~partition:cfg.partition w
   in
   let t0 = Sw_sim.Wall.now_s () in
   let handle, warm =
@@ -303,14 +293,13 @@ let run () =
   let stride = cells / 4 in
   let duration = Time.ms 300 in
   (* Quick keeps the default 200 us quantum, the 100 us rack links, and a
-     light east-west trickle (the windows/lookahead effect shows up cleanly
-     at 48 hosts). The 10k-host form models the regime the fast path was
-     built for: a 2 ms scheduler quantum so simulation cost follows the
-     traffic under study rather than idle slices (at 200 us the fleet fires
-     ~50M slice events over the 800 ms horizon and everything else vanishes
-     into them), RDMA-class 2 us replica interconnects (which drag the
-     legacy global-min lookahead to 2 us — 250x more barriers than the
-     500 us cross-shard floor the per-pair matrix recovers), and enough
+     light east-west trickle (the partition effect shows up cleanly at 48
+     hosts). The 10k-host form models the regime the fast path was built
+     for: a 2 ms scheduler quantum so simulation cost follows the traffic
+     under study rather than idle slices (at 200 us the fleet fires ~50M
+     slice events over the 800 ms horizon and everything else vanishes into
+     them), RDMA-class 2 us replica interconnects (kept out of every
+     cross-shard floor by the per-pair lookahead matrix), and enough
      east-west traffic that the partition choice moves real cross-shard
      message volume. *)
   let w =
@@ -370,8 +359,8 @@ let run () =
           "shard-scale: %s metrics differ from shards=1 outside sim.*\n%!"
           o.cfg.label)
     rows;
-  (* Affinity + per-pair lookahead against contiguous + global scalar, at
-     equal shard count — the headline number of the fast path. *)
+  (* Affinity against contiguous at equal shard count — the headline number
+     of the fast path. *)
   let affinity_speedups =
     List.filter_map
       (fun s ->
@@ -389,8 +378,7 @@ let run () =
   in
   List.iter
     (fun (s, ratio) ->
-      Printf.printf "shards=%d: affinity+pairwise %.2fx contiguous+global\n" s
-        ratio)
+      Printf.printf "shards=%d: affinity %.2fx contiguous\n" s ratio)
     affinity_speedups;
   Bench_report.add "shard_scale"
     (Report.Obj

@@ -38,10 +38,10 @@ let observations_table ~lambda' ~label =
   List.iter
     (fun confidence ->
       let with_sw =
-        Sw_attack.Distinguisher.analytic ~null:med3 ~alt:med2v ~confidence ()
+        Sw_stats.Chi_square.analytic ~null:med3 ~alt:med2v ~confidence ()
       in
       let without_sw =
-        Sw_attack.Distinguisher.analytic ~null:base ~alt:victim ~confidence ()
+        Sw_stats.Chi_square.analytic ~null:base ~alt:victim ~confidence ()
       in
       Tables.row ~width:12
         [
@@ -50,7 +50,7 @@ let observations_table ~lambda' ~label =
           Tables.f1 without_sw;
           Tables.f1 (with_sw /. without_sw);
         ])
-    Sw_attack.Distinguisher.confidence_grid
+    Sw_leak.Detector.confidence_grid
 
 let run () =
   Tables.section "Fig. 1 — justification for the median (analytic)";

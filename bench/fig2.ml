@@ -37,7 +37,7 @@ let run () =
       | Event.Egress_released _ | Event.Divergence _ | Event.Span_begin _
       | Event.Span_end _ ->
           Format.printf "%a@." Trace.pp_entry entry
-      | Event.Vm_exit _ | Event.Disk_irq _ | Event.Dma_irq _ | Event.Message _
+      | Event.Vm_exit _ | Event.Disk_irq _ | Event.Dma_irq _
       | Event.Fault_injected _ | Event.Fault_cleared _
       | Event.Fault_replica_crash _ | Event.Fault_replica_restart _
       | Event.Degrade_suspected _ | Event.Degrade_ejected _

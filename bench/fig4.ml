@@ -13,6 +13,7 @@
 
 open Sw_experiments
 module Scenario = Sw_attack.Scenario
+module Detector = Sw_leak.Detector
 module Runner = Sw_runner.Runner
 module Report = Sw_runner.Report
 
@@ -86,40 +87,28 @@ let run ?pool () =
     sw_yes.Scenario.attacker_inter_delivery_ms;
   Tables.subsection "Fig. 4(b): observations needed to detect the victim (chi-square)";
   Tables.header ~width:12 [ "confidence"; "with SW"; "without SW" ];
-  let sw =
-    Sw_attack.Distinguisher.sweep_empirical
-      ~null:sw_no.Scenario.attacker_inter_delivery_ms
-      ~alt:sw_yes.Scenario.attacker_inter_delivery_ms ()
-  in
-  let bl =
-    Sw_attack.Distinguisher.sweep_empirical
-      ~null:bl_no.Scenario.attacker_inter_delivery_ms
-      ~alt:bl_yes.Scenario.attacker_inter_delivery_ms ()
-  in
-  List.iter2
-    (fun (c, w) (_, wo) ->
+  let chi = (Detector.chi_square ()).Detector.observations_needed
+  and ks = (Detector.ks ()).Detector.observations_needed in
+  let attacker (r : Scenario.result) = r.Scenario.attacker_inter_delivery_ms
+  and observer (r : Scenario.result) = r.Scenario.observer_inter_arrival_ms in
+  List.iter
+    (fun c ->
+      let w = chi ~null:(attacker sw_no) ~alt:(attacker sw_yes) ~confidence:c
+      and wo =
+        chi ~null:(attacker bl_no) ~alt:(attacker bl_yes) ~confidence:c
+      in
       Tables.row ~width:12 [ Tables.f2 c; Tables.f0 w; Tables.f0 wo ])
-    sw bl;
+    Detector.confidence_grid;
   Tables.subsection "Cross-check: Kolmogorov-Smirnov distinguisher at 0.95";
-  let ks null alt =
-    Sw_attack.Distinguisher.ks_observations_needed
-      ~null:null.Scenario.attacker_inter_delivery_ms
-      ~alt:alt.Scenario.attacker_inter_delivery_ms ~confidence:0.95
+  let at95 obs series null alt =
+    obs ~null:(series null) ~alt:(series alt) ~confidence:0.95
   in
-  let ks_sw = ks sw_no sw_yes and ks_bl = ks bl_no bl_yes in
+  let ks_sw = at95 ks attacker sw_no sw_yes
+  and ks_bl = at95 ks attacker bl_no bl_yes in
   Printf.printf "  with StopWatch: %.0f observations; without: %.0f\n" ks_sw ks_bl;
   Tables.subsection
     "External observer (Sec. VI): real inter-arrival times of attacker output";
-  let ks_ext null alt =
-    Sw_attack.Distinguisher.ks_observations_needed
-      ~null:null.Scenario.observer_inter_arrival_ms
-      ~alt:alt.Scenario.observer_inter_arrival_ms ~confidence:0.95
-  in
-  let chi_ext null alt =
-    Sw_attack.Distinguisher.empirical
-      ~null:null.Scenario.observer_inter_arrival_ms
-      ~alt:alt.Scenario.observer_inter_arrival_ms ~confidence:0.95 ()
-  in
+  let ks_ext = at95 ks observer and chi_ext = at95 chi observer in
   Printf.printf
     "  chi-square@0.95: with SW %.0f obs, without %.0f; KS@0.95: with %.0f, \
      without %.0f\n"

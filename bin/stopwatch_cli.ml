@@ -160,20 +160,31 @@ let parsec_cmd =
 
 (* --- attack ------------------------------------------------------------------- *)
 
-let attack_cmd =
-  let run seconds baseline victim colluder replicas =
+(* The scenario flags [attack] and [trace] share, as a spec on
+   [Scenario.default]; only the [--seconds] default differs. *)
+let attack_spec ~seconds =
+  let make seconds baseline victim colluder replicas =
     let module S = Sw_attack.Scenario in
-    let spec =
-      S.with_replicas
-        {
-          S.default with
-          S.duration = Sw_sim.Time.s seconds;
-          baseline;
-          victim;
-          colluder;
-        }
-        replicas
-    in
+    S.with_replicas
+      {
+        S.default with
+        S.duration = Sw_sim.Time.s seconds;
+        baseline;
+        victim;
+        colluder;
+      }
+      replicas
+  in
+  let seconds = Arg.(value & opt int seconds & info [ "seconds" ] ~doc:"Duration.") in
+  let baseline = Arg.(value & flag & info [ "baseline" ] ~doc:"Unmodified Xen.") in
+  let victim = Arg.(value & flag & info [ "victim" ] ~doc:"Coresident victim.") in
+  let colluder = Arg.(value & flag & info [ "colluder" ] ~doc:"Sec. IX colluder.") in
+  let replicas = Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replica count.") in
+  Term.(const make $ seconds $ baseline $ victim $ colluder $ replicas)
+
+let attack_cmd =
+  let run (spec : Sw_attack.Scenario.spec) =
+    let module S = Sw_attack.Scenario in
     let r = S.run spec in
     let obs = r.S.attacker_inter_delivery_ms in
     let n = Array.length obs in
@@ -181,18 +192,14 @@ let attack_cmd =
     Printf.printf
       "%s replicas=%d victim=%b colluder=%b: %d deliveries, mean inter-delivery \
        %.2f ms, divergences %d\n"
-      (if baseline then "baseline" else "stopwatch")
-      replicas victim colluder r.S.deliveries mean r.S.divergences;
+      (if spec.S.baseline then "baseline" else "stopwatch")
+      spec.S.config.Sw_vmm.Config.replicas spec.S.victim spec.S.colluder
+      r.S.deliveries mean r.S.divergences;
     0
   in
-  let seconds = Arg.(value & opt int 20 & info [ "seconds" ] ~doc:"Duration.") in
-  let baseline = Arg.(value & flag & info [ "baseline" ] ~doc:"Unmodified Xen.") in
-  let victim = Arg.(value & flag & info [ "victim" ] ~doc:"Coresident victim.") in
-  let colluder = Arg.(value & flag & info [ "colluder" ] ~doc:"Sec. IX colluder.") in
-  let replicas = Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replica count.") in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run a timing-attack scenario (Fig. 4 / Sec. IX)")
-    Term.(const run $ seconds $ baseline $ victim $ colluder $ replicas)
+    Term.(const run $ attack_spec ~seconds:20)
 
 (* --- trace -------------------------------------------------------------- *)
 
@@ -325,8 +332,8 @@ let smoke_check ~crash ~lineage_data json =
             end)
 
 let trace_cmd =
-  let run seconds seed replicas baseline victim colluder capacity export output
-      lineage filters crash profile_on smoke =
+  let run (spec : Sw_attack.Scenario.spec) seed capacity export output lineage
+      filters crash profile_on smoke =
     let module S = Sw_attack.Scenario in
     match parse_filters filters with
     | Error f ->
@@ -339,7 +346,6 @@ let trace_cmd =
           if profile_on then Some (Sw_obs.Profile.create ~enabled:true ())
           else None
         in
-        let duration = Sw_sim.Time.s seconds in
         let faults =
           if crash then
             (* Kill replica 0 of the attacker VM a quarter into the run, no
@@ -349,26 +355,21 @@ let trace_cmd =
                report tags. *)
             [
               Sw_fault.Schedule.at
-                (Sw_sim.Time.of_float_s (float_of_int seconds *. 0.25))
+                (Sw_sim.Time.of_float_s
+                   (Sw_sim.Time.to_float_s spec.S.duration *. 0.25))
                 (Sw_fault.Fault.Replica_crash
                    { vm = 0; replica = 0; restart_after = None });
             ]
           else Sw_fault.Schedule.empty
         in
         let spec =
-          S.with_replicas
-            {
-              S.default with
-              S.duration;
-              seed = Int64.of_int seed;
-              baseline;
-              victim;
-              colluder;
-              faults;
-              trace = Some tr;
-              profile;
-            }
-            replicas
+          {
+            spec with
+            S.seed = Int64.of_int seed;
+            faults;
+            trace = Some tr;
+            profile;
+          }
         in
         ignore (S.run spec);
         let entries = List.filter pass (Sw_obs.Trace.entries tr) in
@@ -379,7 +380,8 @@ let trace_cmd =
           Sw_obs.Export.meta ~seed:(Int64.of_int seed)
             ~scenario:
               (Printf.sprintf "attack m=%d baseline=%b victim=%b colluder=%b crash=%b"
-                 replicas baseline victim colluder crash)
+                 spec.S.config.Sw_vmm.Config.replicas spec.S.baseline
+                 spec.S.victim spec.S.colluder crash)
             ~trace_capacity:capacity
             ~trace_dropped:(Sw_obs.Trace.dropped tr) ~registry_enabled:true ()
         in
@@ -403,14 +405,9 @@ let trace_cmd =
           | Error () -> 1
         else 0
   in
-  let seconds = Arg.(value & opt int 2 & info [ "seconds" ] ~doc:"Duration.") in
   let seed =
     Arg.(value & opt int 0xA77ACC & info [ "seed" ] ~doc:"Simulation seed.")
   in
-  let replicas = Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replica count.") in
-  let baseline = Arg.(value & flag & info [ "baseline" ] ~doc:"Unmodified Xen.") in
-  let victim = Arg.(value & flag & info [ "victim" ] ~doc:"Coresident victim.") in
-  let colluder = Arg.(value & flag & info [ "colluder" ] ~doc:"Sec. IX colluder.") in
   let capacity =
     Arg.(value & opt int 65536 & info [ "capacity" ] ~doc:"Trace ring capacity.")
   in
@@ -472,7 +469,7 @@ let trace_cmd =
        ~doc:"Record a traced scenario; export Perfetto/JSONL and reconstruct \
              causal lineage")
     Term.(
-      const run $ seconds $ seed $ replicas $ baseline $ victim $ colluder
+      const run $ attack_spec ~seconds:2 $ seed
       $ capacity $ export $ output $ lineage $ filters $ crash $ profile_on
       $ smoke)
 
@@ -935,17 +932,6 @@ let soak_cmd =
 
 (* --- leak ------------------------------------------------------------------ *)
 
-(* Pair the two configs' series by key (keys present on both sides only:
-   the victim's own VM exists in just one run and has no counterpart). *)
-let paired_series null alt =
-  List.filter_map
-    (fun (key, null_xs) ->
-      match List.assoc_opt key alt with
-      | Some alt_xs ->
-          Some { Sw_leak.Audit.key; null = null_xs; alt = alt_xs }
-      | None -> None)
-    null
-
 let leak_cmd =
   let module S = Sw_attack.Scenario in
   let module Detector = Sw_leak.Detector in
@@ -998,8 +984,7 @@ let leak_cmd =
                       match (side false, side true) with
                       | Some null, Some alt ->
                           Some
-                            (Audit.run ~registry ~label
-                               (paired_series null alt))
+                            (Audit.run ~registry ~label (Audit.pair null alt))
                       | _ -> None)
                     labels
               | Dsl.Workload w ->
@@ -1025,7 +1010,7 @@ let leak_cmd =
                       [
                         Audit.run ~registry
                           ~label:"stopwatch-off vs stopwatch-on"
-                          (paired_series null alt);
+                          (Audit.pair null alt);
                       ]
                   | _ -> [])
             in
@@ -1037,27 +1022,10 @@ let leak_cmd =
               1
             end
             else begin
-              (* The guest-visible verdict: detectors that flagged any
-                 attacker-observable series. The vm*/... lineage series are
-                 attribution — they say where a (possibly masked) host-level
-                 signal lives, not what the guest can read. *)
-              let starts_with p s =
-                String.length s >= String.length p
-                && String.sub s 0 (String.length p) = p
-              in
-              let guest_leaking (a : Audit.t) =
-                List.sort_uniq compare
-                  (List.concat_map
-                     (fun (f : Audit.finding) ->
-                       if starts_with "attacker/" f.Audit.f_key then
-                         f.Audit.leaking
-                       else [])
-                     a.Audit.findings)
-              in
               List.iter
                 (fun (a : Audit.t) ->
                   let verdict =
-                    match guest_leaking a with
+                    match Audit.guest_leaking a with
                     | [] -> "guest-visible channel clean (no detector flags)"
                     | ds ->
                         Printf.sprintf "guest-visible channel LEAKS (%s)"
@@ -1100,13 +1068,14 @@ let leak_cmd =
                 let failures =
                   List.filter_map
                     (fun (a : Audit.t) ->
-                      let leaking = guest_leaking a in
+                      let leaking = Audit.guest_leaking a in
                       (* Exact group names only ("baseline", "stopwatch",
                          "...+colluder") — the workload kind's comparison
                          label also begins with "stopwatch" but carries no
                          masked/unmasked contrast to assert. *)
                       let is_group g =
-                        a.Audit.label = g || starts_with (g ^ "+") a.Audit.label
+                        a.Audit.label = g
+                        || String.starts_with ~prefix:(g ^ "+") a.Audit.label
                       in
                       if is_group "baseline" then begin
                         if leaking <> names then

@@ -1,4 +1,5 @@
 module Dist = Sw_stats.Dist
+module Chi_square = Sw_stats.Chi_square
 module Order_stats = Sw_stats.Order_stats
 
 type row = {
@@ -83,12 +84,12 @@ let compare ~lambda ~lambda' ?(bins = 10) ?confidences () =
   List.map
     (fun confidence ->
       let observations =
-        Distinguisher.analytic ~null:null_sw ~alt:alt_sw ~bins ~confidence ()
+        Chi_square.analytic ~null:null_sw ~alt:alt_sw ~bins ~confidence ()
       in
       (* The attacker's confidence after n observations under noise bound b:
          find min b such that the noise defence needs >= n observations. *)
       let needs b =
-        Distinguisher.analytic
+        Chi_square.analytic
           ~null:(exp_plus_uniform ~lambda ~b)
           ~alt:(exp_plus_uniform ~lambda:lambda' ~b)
           ~bins ~confidence ()

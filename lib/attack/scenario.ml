@@ -17,7 +17,6 @@ type spec = {
   faults : Sw_fault.Schedule.t;
   trace : Sw_obs.Trace.t option;
   profile : Sw_obs.Profile.t option;
-  shards : int;
 }
 
 let default =
@@ -34,14 +33,7 @@ let default =
     faults = Sw_fault.Schedule.empty;
     trace = None;
     profile = None;
-    shards = 1;
   }
-
-(* The whole testbed is one partition atom — the attacker shares machine
-   m-1 with the victim and machine 0 with the colluder, so no machine
-   block boundary can separate the deployments. Any requested shard count
-   therefore clamps to 1 instead of tripping the partition rule. *)
-let effective_shards spec = if spec.shards > 1 then 1 else max 1 spec.shards
 
 let with_replicas spec m =
   { spec with config = { spec.config with Sw_vmm.Config.replicas = m } }
@@ -65,7 +57,7 @@ let run spec =
   let machines = if spec.baseline then 1 else (3 * m) - 2 in
   let cloud =
     Cloud.create ~config:spec.config ~seed:spec.seed ?profile:spec.profile
-      ~machines ~shards:(effective_shards spec) ()
+      ~machines ()
   in
   (* Attach before deploying so the edge nodes and every replica emit into
      the same sink; recording starts immediately. *)

@@ -32,18 +32,9 @@ type spec = {
   profile : Sw_obs.Profile.t option;
       (** Wall-clock self-profiling instance handed to the engine; [None]
           (the default) times nothing. *)
-  shards : int;
-      (** Requested shard count, accepted for DSL/CLI uniformity but
-          clamped to 1 (see {!effective_shards}): the attack layout is a
-          single partition atom. Default [1]. *)
 }
 
 val default : spec
-
-(** The shard count {!run} actually uses — always [1]: attacker, victim,
-    and colluder deliberately share machines, so no partition boundary
-    can separate their replica groups. *)
-val effective_shards : spec -> int
 
 (** [with_replicas spec m] adjusts the attacker/victim replica count
     (Sec. IX's 3-vs-5 comparison). *)

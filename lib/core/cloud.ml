@@ -26,7 +26,6 @@ type t = {
   config : Sw_vmm.Config.t;
   shards : shard_ctx array;
   parallel : bool;
-  lookahead_mode : [ `Global | `Pairwise ];
   block : int array;  (* machine id -> owning shard *)
   machines : Sw_vmm.Machine.t array;
   vmms : Sw_vmm.Vmm.t array;
@@ -98,7 +97,7 @@ let check_assignment assign ~machines ~shards =
 let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
     ?(default_link = Sw_net.Network.lan) ?(rate_spread = 0.)
     ?(clock_spread = Time.zero) ?profile ?(shards = 1) ?parallel
-    ?(partition = `Contiguous) ?(lookahead = `Pairwise) ~machines () =
+    ?(partition = `Contiguous) ~machines () =
   let parallel =
     match parallel with Some p -> p | None -> default_parallel
   in
@@ -149,7 +148,6 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
       config;
       shards = [| shard |];
       parallel;
-      lookahead_mode = lookahead;
       block = Array.make machines 0;
       machines = machine_arr;
       vmms;
@@ -221,7 +219,6 @@ let create ?(config = Sw_vmm.Config.default) ?(seed = 0x57094A7CL)
         config;
         shards = shard_arr;
         parallel;
-        lookahead_mode = lookahead;
         block;
         machines = machine_arr;
         vmms;
@@ -517,36 +514,23 @@ let start_background t ~rate_per_s ?(size = 64) () =
 (* Lookahead for the conservative windows, computed when the conductor is
    first needed, so links installed after [create] (host access links,
    overrides) are accounted for; links added later may only violate the
-   bound, which [Conductor.post] then reports.
-
-   [`Global] is the legacy bound — the smallest propagation latency any
-   link anywhere could impose on a hop, one scalar for every shard pair.
-   [`Pairwise] (the default) asks each shard's fabric for its
-   per-destination-shard floors instead ({!Sw_net.Network.min_latency_to}),
-   so a fast rack-local link only tightens the windows of the pairs that
-   can actually traverse it. *)
+   bound, which [Conductor.post] then reports. Each shard's fabric gives
+   its per-destination-shard floors ({!Sw_net.Network.min_latency_to}), so
+   a fast rack-local link only tightens the windows of the pairs that can
+   actually traverse it. *)
 let conductor t =
   match t.conductor with
   | Some c -> c
   | None ->
-      let engines = Array.map (fun sh -> sh.sh_engine) t.shards in
       let n = Array.length t.shards in
-      let global =
-        Array.fold_left
-          (fun acc sh -> Time.min acc (Sw_net.Network.min_latency sh.sh_network))
-          max_int t.shards
+      let matrix =
+        Array.init n (fun j ->
+            Sw_net.Network.min_latency_to t.shards.(j).sh_network
+              ~locate:(locate t j) ~self:j ~shards:n)
       in
       let c =
-        match t.lookahead_mode with
-        | `Global -> Conductor.create ~parallel:t.parallel ~lookahead:global engines
-        | `Pairwise ->
-            let matrix =
-              Array.init n (fun j ->
-                  Sw_net.Network.min_latency_to t.shards.(j).sh_network
-                    ~locate:(locate t j) ~self:j ~shards:n)
-            in
-            Conductor.create ~parallel:t.parallel ~matrix ~lookahead:global
-              engines
+        Conductor.create ~parallel:t.parallel ~matrix
+          (Array.map (fun sh -> sh.sh_engine) t.shards)
       in
       t.conductor <- Some c;
       c

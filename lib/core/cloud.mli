@@ -32,11 +32,9 @@ type deployment
     windowed protocol round-robin, byte-identical; the default picks the
     round-robin driver when the host reports a single core, where a
     domain gang could only time-slice) under conservative lookahead
-    synchronisation — see {!Sw_sim.Conductor}. [lookahead] picks how the
-    conductor's bound is computed: [`Pairwise] (default) builds a
+    synchronisation — see {!Sw_sim.Conductor}; the conductor's bound is a
     per-shard-pair matrix from each fabric's
-    {!Sw_net.Network.min_latency_to}, [`Global] the legacy single
-    worst-case scalar. Neither partition nor lookahead mode can change
+    {!Sw_net.Network.min_latency_to}. The partition cannot change
     results: per-link PRNG streams are key-derived so no draw depends on
     the partition; DESIGN.md "Sharded simulation" states the exact
     determinism contract. {!attach_trace} and {!install_faults} are
@@ -59,7 +57,6 @@ val create :
   ?shards:int ->
   ?parallel:bool ->
   ?partition:[ `Contiguous | `Affinity of int array ] ->
-  ?lookahead:[ `Global | `Pairwise ] ->
   machines:int ->
   unit ->
   t

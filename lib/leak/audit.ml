@@ -52,6 +52,12 @@ let run ?(detectors = Detector.all) ?registry ~label series =
   in
   { label; findings }
 
+let pair null alt =
+  List.filter_map
+    (fun (key, null) ->
+      Option.map (fun alt -> { key; null; alt }) (List.assoc_opt key alt))
+    null
+
 let split_half ?detectors ?registry ~label series =
   let halves =
     List.filter_map
@@ -72,6 +78,14 @@ let attribution t =
     t.findings
 
 let leak t = List.exists (fun f -> f.leaking <> []) t.findings
+
+let guest_leaking t =
+  List.sort_uniq String.compare
+    (List.concat_map
+       (fun f ->
+         if String.starts_with ~prefix:"attacker/" f.f_key then f.leaking
+         else [])
+       t.findings)
 
 let find t key =
   List.find_opt (fun f -> String.equal f.f_key key) t.findings

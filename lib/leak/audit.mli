@@ -36,6 +36,12 @@ val run :
   series list ->
   t
 
+(** [pair null alt] joins two configs' keyed series into audit series, in
+    [null]'s order. Keys present on one side only are dropped: the victim's
+    own VM exists in just one run and has no counterpart. *)
+val pair :
+  (string * float array) list -> (string * float array) list -> series list
+
 (** [split_half ~label series] audits each single series against itself —
     first half as null, second half as alt — the drift probe the soak
     driver samples at every checkpoint grid point. Series shorter than 2
@@ -52,6 +58,12 @@ val attribution : t -> (string * string list) list
 
 (** True when any series leaked under any detector. *)
 val leak : t -> bool
+
+(** The guest-visible verdict: sorted names of the detectors that flagged
+    any attacker-observable (["attacker/..."]) series. The [vm*/...]
+    lineage series are attribution — they say where a (possibly masked)
+    host-level signal lives, not what the guest can read. *)
+val guest_leaking : t -> string list
 
 val find : t -> string -> finding option
 

@@ -191,9 +191,9 @@ let ks ?(alpha = default_alpha) () =
     observations_needed = ks_obs;
   }
 
-(* The distinguisher's historical computation, verbatim: edges from the
-   null sample's quantiles, empirical frequencies on both sides, then the
-   noncentrality-based count. *)
+(* The Fig. 4(b) distinguisher: edges from the null sample's quantiles,
+   empirical frequencies on both sides, then the noncentrality-based
+   count. *)
 let chi_obs ?(bins = 10) () ~null ~alt ~confidence =
   if Array.length null = 0 || Array.length alt = 0 then
     invalid_arg "Detector.chi_square: empty sample";

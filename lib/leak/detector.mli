@@ -9,8 +9,9 @@
 
     Five instances cover the repo's battery: Welch's t-test, Cohen's d,
     label mutual information (G-test), two-sample KS, and the chi-square
-    distinguisher of Figs. 1(b)/4(b) — the last two being the historical
-    [Sw_attack.Distinguisher] computations behind the shared API. *)
+    distinguisher of Figs. 1(b)/4(b). The KS and chi-square
+    observations-needed curves are the Fig. 4(b) numbers; their
+    closed-form counterpart is {!Sw_stats.Chi_square.analytic}. *)
 
 type report = {
   detector : string;
@@ -58,9 +59,10 @@ val cohens_d : ?threshold:float -> unit -> t
 val mutual_info : ?alpha:float -> ?bins:int -> unit -> t
 val ks : ?alpha:float -> unit -> t
 
-(** Two-sample chi-square homogeneity verdict; its observations-needed
-    curve is byte-identical to the historical
-    [Sw_attack.Distinguisher.empirical] computation. *)
+(** Two-sample chi-square homogeneity verdict. Its observations-needed
+    curve bins both samples at the null sample's [bins] quantiles and
+    applies {!Sw_stats.Chi_square.observations_needed} to the empirical
+    frequencies. *)
 val chi_square : ?alpha:float -> ?bins:int -> unit -> t
 
 (** The full battery at default thresholds, in report order:

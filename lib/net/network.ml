@@ -267,13 +267,6 @@ let deliver_via t ~target (pkt : Packet.t) =
 let set_remote t ~shard ~locate ~post =
   t.remote <- Some { shard; locate; post }
 
-let min_latency t =
-  let best = ref t.default.latency in
-  let consider p = if Time.(p.latency < !best) then best := p.latency in
-  Pair_tbl.iter (fun _ p -> consider p) t.link_overrides;
-  Addr_tbl.iter (fun _ p -> consider p) t.node_overrides;
-  !best
-
 (* Per-destination-shard latency floors, for a conductor's lookahead
    matrix. A hop from this network into shard [d <> self] can only be
    priced by the default, a pair override whose delivery target locates to

@@ -109,14 +109,9 @@ val set_remote :
     without a handler count as undeliverable. *)
 val inject : t -> target:Address.t -> Packet.t -> unit
 
-(** Minimum propagation latency over the default and every installed
-    override — this network's contribution to a global-minimum conductor
-    lookahead. *)
-val min_latency : t -> Sw_sim.Time.t
-
-(** [min_latency_to t ~locate ~self ~shards] refines {!min_latency} per
-    destination shard: element [d] is the smallest propagation latency any
-    hop from this network (shard [self]) into shard [d] could see, i.e.
+(** [min_latency_to t ~locate ~self ~shards]: element [d] is the smallest
+    propagation latency over the default and every installed override that
+    any hop from this network (shard [self]) into shard [d] could see, i.e.
     this network's row of a conductor's lookahead matrix. Overrides whose
     delivery target locates to [self] are intra-shard and excluded (a
     node override on one of [self]'s own nodes still applies source-side,

@@ -3,9 +3,9 @@
 
     Track model: each guest VM is a process named ["vm<N>"] with one thread
     per replica (["r<N>"]); ingress/egress share a synthetic ["net"]
-    process; fault-schedule events, spans and messages get their own
-    processes so they never interleave with guest tracks; {!Profile} timers
-    render as counter tracks under ["profile"].
+    process; fault-schedule events and spans get their own processes so
+    they never interleave with guest tracks; {!Profile} timers render as
+    counter tracks under ["profile"].
 
     Protocol steps (proposal, median, delivery, ingress stamp, egress
     release) become thin duration events ([ph:"X"], 1 µs) so flow arrows

@@ -62,15 +62,12 @@ type t =
       (** A restarted replica resynced and rejoined; quorum restored. *)
   | Span_begin of { name : string }
   | Span_end of { name : string; elapsed_ns : int64 }
-  | Message of { label : string; text : string }
-      (** Freeform legacy entry (the [Sw_sim.Trace] shim emits these). *)
 
 (** Short kind tag, e.g. ["proposal"], ["median"], ["vm-exit"]. *)
 val label : t -> string
 
 (** The guest VM an event concerns, when it concerns exactly one — [None]
-    for fabric-wide and bookkeeping events (fault windows, spans,
-    messages). *)
+    for fabric-wide and bookkeeping events (fault windows, spans). *)
 val vm_of : t -> int option
 
 (** The replica an event was recorded at ([observer] for proposals); [None]

@@ -173,27 +173,22 @@ type gang = {
    shards are imbalanced or the box has fewer cores than shards. *)
 let spin_budget = 4096
 
-let create ?(parallel = true) ?matrix ~lookahead engines =
+let create ?(parallel = true) ~matrix engines =
   let n = Array.length engines in
   if n = 0 then invalid_arg "Conductor.create: no shards";
+  let square () =
+    invalid_arg "Conductor.create: lookahead matrix must be n x n"
+  in
+  if Array.length matrix <> n then square ();
   let matrix =
-    match matrix with
-    | None ->
-        if n > 1 && Time.(lookahead <= Time.zero) then
-          invalid_arg "Conductor.create: lookahead must be positive";
-        Array.make_matrix n n lookahead
-    | Some m ->
-        if Array.length m <> n then
-          invalid_arg "Conductor.create: lookahead matrix must be n x n";
-        Array.init n (fun i ->
-            if Array.length m.(i) <> n then
-              invalid_arg "Conductor.create: lookahead matrix must be n x n";
-            Array.init n (fun j ->
-                if i <> j && Time.(m.(i).(j) <= Time.zero) then
-                  invalid_arg
-                    "Conductor.create: lookahead matrix entries must be \
-                     positive off the diagonal";
-                m.(i).(j)))
+    Array.init n (fun i ->
+        if Array.length matrix.(i) <> n then square ();
+        Array.init n (fun j ->
+            if i <> j && Time.(matrix.(i).(j) <= Time.zero) then
+              invalid_arg
+                "Conductor.create: lookahead matrix entries must be positive \
+                 off the diagonal";
+            matrix.(i).(j)))
   in
   let registry = Engine.metrics engines.(0) in
   (* Diagonal exchange counters can never tick; park them in a throwaway

@@ -13,8 +13,8 @@
     departs at or after [horizon j] and so arrives at or after
     [horizon j + L(j,i)] — never inside a window already running. Shards
     separated by slow links synchronise rarely; only genuinely close pairs
-    pay a tight cadence. A uniform matrix (the [~lookahead] scalar)
-    recovers the classic global-minimum protocol.
+    pay a tight cadence. A uniform matrix recovers the classic
+    global-minimum protocol.
 
     {b Determinism.} Shard execution within a round touches no state shared
     with other shards; the only inter-shard channel is {!post}. At each
@@ -49,21 +49,15 @@
 
 type t
 
-(** [create ?parallel ?matrix ~lookahead engines] builds a conductor over
-    the shards [engines]. [matrix.(j).(i)] bounds hops from shard [j] into
-    shard [i] (the diagonal is ignored); without [matrix], a uniform matrix
-    is built from the scalar [lookahead]. Off-diagonal entries (or
-    [lookahead], when it is the source) must be positive when there is more
-    than one shard. [parallel] (default [true]) selects the
+(** [create ?parallel ~matrix engines] builds a conductor over the shards
+    [engines]. [matrix.(j).(i)] bounds hops from shard [j] into shard [i];
+    it must be n x n, and its off-diagonal entries must be positive (the
+    diagonal is ignored). [parallel] (default [true]) selects the
     domain-per-shard driver; [false] runs the same windowed protocol
     round-robin on the calling domain — useful for differential tests,
     byte-identical by construction. *)
 val create :
-  ?parallel:bool ->
-  ?matrix:Time.t array array ->
-  lookahead:Time.t ->
-  Engine.t array ->
-  t
+  ?parallel:bool -> matrix:Time.t array array -> Engine.t array -> t
 
 val shards : t -> int
 

@@ -110,3 +110,10 @@ let goodness_of_fit ~edges ~null_probs ~samples =
   let stat = statistic ~expected ~observed in
   let df = Array.length null_probs - 1 in
   1. -. cdf ~df stat
+
+let analytic ~null ~alt ?(bins = 10) ~confidence () =
+  let edges = equiprobable_edges null ~bins in
+  observations_needed
+    ~null_probs:(bin_probs ~edges null.Dist.cdf)
+    ~alt_probs:(bin_probs ~edges alt.Dist.cdf)
+    ~confidence

@@ -52,3 +52,10 @@ val bin_counts : edges:float array -> float array -> float array
     (small = reject the null). *)
 val goodness_of_fit :
   edges:float array -> null_probs:float array -> samples:float array -> float
+
+(** [analytic ~null ~alt ?bins ~confidence ()] is {!observations_needed}
+    for two closed-form distributions: [null] is cut into [bins]
+    (default 10) {!equiprobable_edges} and both sides are binned with
+    {!bin_probs} — the y-axis of Figs. 1(b) and 1(c). *)
+val analytic :
+  null:Dist.t -> alt:Dist.t -> ?bins:int -> confidence:float -> unit -> float

@@ -215,7 +215,7 @@ let traffic_graph (w : Dsl.workload) =
    generator is derived from [(seed, purpose, cell)] alone. The remaining
    cross-shard reordering is between same-instant events of *different*
    cells, which share no state. *)
-let prepare_datacenter ?shards ?partition ?lookahead (w : Dsl.workload)
+let prepare_datacenter ?shards ?partition (w : Dsl.workload)
     (topo : Dsl.topology) =
   let topo =
     match shards with
@@ -305,7 +305,7 @@ let prepare_datacenter ?shards ?partition ?lookahead (w : Dsl.workload)
   in
   let cloud =
     Cloud.create ~config ~seed:w.seed ~default_link ~machines:topo.Dsl.hosts
-      ~shards:topo.Dsl.shards ~partition:cloud_partition ?lookahead ()
+      ~shards:topo.Dsl.shards ~partition:cloud_partition ()
   in
   (* The rack-local replica interconnect: a fast directed link for every
      ordered VMM pair inside a cell, installed before any deployment sends a
@@ -434,12 +434,12 @@ let prepare_datacenter ?shards ?partition ?lookahead (w : Dsl.workload)
   in
   { cloud; until = Time.add w.duration drain; finish; observe = (fun () -> []) }
 
-let prepare ?shards ?partition ?lookahead (w : Dsl.workload) =
+let prepare ?shards ?partition (w : Dsl.workload) =
   match w.topology with
-  | Some topo -> prepare_datacenter ?shards ?partition ?lookahead w topo
+  | Some topo -> prepare_datacenter ?shards ?partition w topo
   | None -> prepare_single w
 
-let run ?shards ?partition ?lookahead (w : Dsl.workload) =
-  let h = prepare ?shards ?partition ?lookahead w in
+let run ?shards ?partition (w : Dsl.workload) =
+  let h = prepare ?shards ?partition w in
   Cloud.run h.cloud ~until:h.until;
   h.finish ()

@@ -68,13 +68,12 @@ type handle = {
     scenario without a topology block yields the trivial 1-cell graph. *)
 val traffic_graph : Dsl.workload -> Sw_placement.Affinity.graph
 
-(** [prepare ?shards ?partition ?lookahead w] builds the scenario without
+(** [prepare ?shards ?partition w] builds the scenario without
     advancing it; see {!run} for the scenario semantics and {!handle} for
     what to do next. *)
 val prepare :
   ?shards:int ->
   ?partition:[ `Contiguous | `Affinity | `Assign of int array ] ->
-  ?lookahead:[ `Global | `Pairwise ] ->
   Dsl.workload ->
   handle
 
@@ -87,17 +86,14 @@ val prepare :
     command line, [?partition] likewise overrides the block's cell
     placement ([`Assign a] additionally accepts an arbitrary explicit
     cell-to-shard map — the hook the partition-independence property test
-    drives with random maps), and [?lookahead] selects the conductor's
-    bound ({!Stopwatch.Cloud.create}'s parameter; default pairwise). The
-    scenario is zero-draw (no jitter, no loss, no disk seek) and every
-    generator is key-derived, so the result is byte-identical across
-    shard counts, partitions, and lookahead modes outside the [sim.*]
-    metric namespace. Raises [Invalid_argument] when
+    drives with random maps). The scenario is zero-draw (no jitter, no
+    loss, no disk seek) and every generator is key-derived, so the result
+    is byte-identical across shard counts and partitions outside the
+    [sim.*] metric namespace. Raises [Invalid_argument] when
     {!Dsl.check_topology} rejects the (possibly overridden) block or an
     [`Assign] map is malformed. *)
 val run :
   ?shards:int ->
   ?partition:[ `Contiguous | `Affinity | `Assign of int array ] ->
-  ?lookahead:[ `Global | `Pairwise ] ->
   Dsl.workload ->
   result

@@ -3,21 +3,22 @@
 
 module Time = Sw_sim.Time
 module Dist = Sw_stats.Dist
-module D = Sw_attack.Distinguisher
+module Chi_square = Sw_stats.Chi_square
+module Detector = Sw_leak.Detector
 module Nd = Sw_attack.Noise_defense
 
 let test_analytic_monotone_in_confidence () =
   let null = Dist.exponential ~rate:1. in
   let alt = Dist.exponential ~rate:0.7 in
-  let n1 = D.analytic ~null ~alt ~confidence:0.7 () in
-  let n2 = D.analytic ~null ~alt ~confidence:0.99 () in
+  let n1 = Chi_square.analytic ~null ~alt ~confidence:0.7 () in
+  let n2 = Chi_square.analytic ~null ~alt ~confidence:0.99 () in
   if not (n2 > n1) then Alcotest.fail "more confidence, more observations"
 
 let test_analytic_harder_for_similar () =
   let null = Dist.exponential ~rate:1. in
-  let strong = D.analytic ~null ~alt:(Dist.exponential ~rate:0.5) ~confidence:0.9 () in
+  let strong = Chi_square.analytic ~null ~alt:(Dist.exponential ~rate:0.5) ~confidence:0.9 () in
   let weak =
-    D.analytic ~null ~alt:(Dist.exponential ~rate:(10. /. 11.)) ~confidence:0.9 ()
+    Chi_square.analytic ~null ~alt:(Dist.exponential ~rate:(10. /. 11.)) ~confidence:0.9 ()
   in
   if not (weak > 10. *. strong) then
     Alcotest.failf "similar victim must need far more observations (%f vs %f)" weak
@@ -30,8 +31,8 @@ let test_median_raises_observations () =
   let victim = Dist.exponential ~rate:0.5 in
   let med3 = Sw_stats.Order_stats.median_dist [| base; base; base |] in
   let med2v = Sw_stats.Order_stats.median_dist [| victim; base; base |] in
-  let raw = D.analytic ~null:base ~alt:victim ~confidence:0.9 () in
-  let med = D.analytic ~null:med3 ~alt:med2v ~confidence:0.9 () in
+  let raw = Chi_square.analytic ~null:base ~alt:victim ~confidence:0.9 () in
+  let med = Chi_square.analytic ~null:med3 ~alt:med2v ~confidence:0.9 () in
   if not (med > 3. *. raw) then
     Alcotest.failf "median must dampen distinguishability (%f vs %f)" med raw
 
@@ -40,19 +41,23 @@ let test_empirical_roundtrip () =
   let sample rate n = Array.init n (fun _ -> Sw_sim.Prng.exponential rng ~rate) in
   let null = sample 1.0 5000 in
   let alt = sample 0.5 5000 in
-  let n = D.empirical ~null ~alt ~confidence:0.9 () in
+  let chi = (Detector.chi_square ()).Detector.observations_needed in
+  let n = chi ~null ~alt ~confidence:0.9 in
   if n > 100. then Alcotest.failf "clearly distinct samples: %f too large" n;
   let null2 = sample 1.0 5000 in
-  let same = D.empirical ~null ~alt:null2 ~confidence:0.9 () in
+  let same = chi ~null ~alt:null2 ~confidence:0.9 in
   if not (same > 5. *. n) then Alcotest.fail "same distribution must look similar"
 
 let test_sweep_shapes () =
-  let grid = D.confidence_grid in
+  let grid = Detector.confidence_grid in
   Alcotest.(check int) "grid size" 7 (List.length grid);
   let null = Dist.exponential ~rate:1. in
   let alt = Dist.exponential ~rate:0.6 in
-  let sweep = D.sweep_analytic ~null ~alt () in
-  let values = List.map snd sweep in
+  let values =
+    List.map
+      (fun confidence -> Chi_square.analytic ~null ~alt ~confidence ())
+      grid
+  in
   let rec increasing = function
     | a :: (b :: _ as rest) -> a <= b && increasing rest
     | _ -> true
@@ -136,34 +141,6 @@ let test_scenario_baseline_smoke () =
   let r = Sw_attack.Scenario.run spec in
   if r.Sw_attack.Scenario.deliveries < 100 then Alcotest.fail "too few deliveries"
 
-(* A fig4-style spec asking for shards is clamped back to one: the attack
-   layout (attacker sharing machines with victim and colluder) is a single
-   partition atom, so the run must be byte-identical to the unsharded one. *)
-let test_scenario_shard_clamp () =
-  let spec =
-    {
-      Sw_attack.Scenario.default with
-      Sw_attack.Scenario.duration = Time.s 2;
-      ping_rate_per_s = 50.;
-      victim = true;
-    }
-  in
-  let sharded = { spec with Sw_attack.Scenario.shards = 4 } in
-  Alcotest.(check int) "clamped to one shard" 1
-    (Sw_attack.Scenario.effective_shards sharded);
-  let r1 = Sw_attack.Scenario.run spec in
-  let r4 = Sw_attack.Scenario.run sharded in
-  Alcotest.(check int) "deliveries" r1.Sw_attack.Scenario.deliveries
-    r4.Sw_attack.Scenario.deliveries;
-  Alcotest.(check int) "divergences" r1.Sw_attack.Scenario.divergences
-    r4.Sw_attack.Scenario.divergences;
-  Alcotest.(check (array (float 0.))) "inter-delivery observations"
-    r1.Sw_attack.Scenario.attacker_inter_delivery_ms
-    r4.Sw_attack.Scenario.attacker_inter_delivery_ms;
-  Alcotest.(check string) "metrics bytes"
-    (Sw_obs.Export.to_json_string r1.Sw_attack.Scenario.metrics)
-    (Sw_obs.Export.to_json_string r4.Sw_attack.Scenario.metrics)
-
 let test_scenario_five_replicas () =
   let spec =
     Sw_attack.Scenario.with_replicas
@@ -199,7 +176,5 @@ let () =
           Alcotest.test_case "baseline + colluder smoke" `Quick
             test_scenario_baseline_smoke;
           Alcotest.test_case "five replicas" `Quick test_scenario_five_replicas;
-          Alcotest.test_case "shard request clamps to one" `Slow
-            test_scenario_shard_clamp;
         ] );
     ]

@@ -2,8 +2,8 @@
    Welch's t and Cohen's d against closed-form values, binned mutual
    information calibration (independent ≈ 0, identical ≈ H(X)), KS
    p-values, false-positive calibration of the whole battery on
-   same-distribution pairs, shifted-mean detection, byte-identity of the
-   detector API with the historical Distinguisher wrappers, lineage
+   same-distribution pairs, shifted-mean detection, bit-exact
+   observations-needed goldens for the chi-square and KS curves, lineage
    observation extraction on a synthetic trace, and the audit driver's
    verdict, attribution and counters. *)
 
@@ -168,38 +168,43 @@ let test_undersized_verdict () =
       Alcotest.(check bool) (d.Detector.name ^ " no leak") false r.Detector.leak)
     Detector.all
 
-(* --- Byte-identity with the historical Distinguisher wrappers ------------ *)
+(* --- Observations-needed golden --------------------------------------- *)
 
-let test_distinguisher_identity () =
+(* The chi-square and KS curves behind Fig. 4(b) and its KS cross-check, bit
+   for bit: [(confidence, chi-square bits, KS bits)] on a seeded 80-sample
+   pair, as printed by the pre-detector distinguisher code. *)
+let observations_golden =
+  [
+    (0.70, 0x3ff533998be62fcdL, 0x4017b6c8b10de932L);
+    (0.75, 0x3ffe9375f1c13100L, 0x4019fe3682cd3be2L);
+    (0.80, 0x4004bfee5f0bf406L, 0x401cc845b54b54f1L);
+    (0.85, 0x400b71865e21ebdaL, 0x4020306d6e53d3e8L);
+    (0.90, 0x4012300d2ccc4efaL, 0x4022b92bf07289c8L);
+    (0.95, 0x40195739f8deb953L, 0x40270e35063f6917L);
+    (0.99, 0x402443fdc475aa13L, 0x40308ea7658c1a20L);
+  ]
+
+let test_observations_golden () =
   let rng = Prng.create 0xD157L in
   let null = draw rng 80 ~mean:20. ~stddev:3. in
   let alt = draw rng 80 ~mean:22. ~stddev:4. in
-  let ks = Detector.ks () and chi = Detector.chi_square () in
-  List.iter
-    (fun confidence ->
-      let via_wrapper =
-        Sw_attack.Distinguisher.ks_observations_needed ~null ~alt ~confidence
-      in
-      let via_detector = ks.Detector.observations_needed ~null ~alt ~confidence in
-      Alcotest.(check bool)
-        (Printf.sprintf "ks identical at %.2f" confidence)
-        true
-        (Int64.equal (Int64.bits_of_float via_wrapper)
-           (Int64.bits_of_float via_detector));
-      let via_wrapper =
-        Sw_attack.Distinguisher.empirical ~null ~alt ~confidence ()
-      in
-      let via_detector =
-        (Detector.chi_square ~bins:10 ()).Detector.observations_needed ~null
-          ~alt ~confidence
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "chi identical at %.2f" confidence)
-        true
-        (Int64.equal (Int64.bits_of_float via_wrapper)
-           (Int64.bits_of_float via_detector));
-      ignore (chi.Detector.observations_needed ~null ~alt ~confidence))
+  let bits (d : Detector.t) confidence =
+    Int64.bits_of_float (d.Detector.observations_needed ~null ~alt ~confidence)
+  in
+  Alcotest.(check (list (float 0.))) "golden covers the confidence grid"
     Detector.confidence_grid
+    (List.map (fun (c, _, _) -> c) observations_golden);
+  List.iter
+    (fun (confidence, chi, ks) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "chi-square bits at %.2f" confidence)
+        chi
+        (bits (Detector.chi_square ()) confidence);
+      Alcotest.(check int64)
+        (Printf.sprintf "ks bits at %.2f" confidence)
+        ks
+        (bits (Detector.ks ()) confidence))
+    observations_golden
 
 (* --- Lineage observation extraction --------------------------------------- *)
 
@@ -328,8 +333,8 @@ let () =
             test_battery_false_positives;
           Alcotest.test_case "shifted mean" `Quick test_battery_shifted_mean;
           Alcotest.test_case "undersized" `Quick test_undersized_verdict;
-          Alcotest.test_case "distinguisher identity" `Quick
-            test_distinguisher_identity;
+          Alcotest.test_case "observations-needed golden" `Quick
+            test_observations_golden;
         ] );
       ( "lineage",
         [ Alcotest.test_case "observations" `Quick test_lineage_observations ] );

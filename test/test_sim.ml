@@ -469,57 +469,19 @@ let test_samples_histogram () =
   (* Outliers clamp into end bins. *)
   Alcotest.(check (array int)) "bins" [| 3; 3 |] h
 
-(* --- Trace --------------------------------------------------------------- *)
-
-let test_trace_disabled_noop () =
-  let tr = Sw_sim.Trace.create () in
-  Sw_sim.Trace.emit tr ~at:Time.zero ~label:"x" "hello";
-  Alcotest.(check int) "disabled" 0 (Sw_sim.Trace.length tr)
-
-let test_trace_ring () =
-  let tr = Sw_sim.Trace.create ~capacity:3 () in
-  Sw_sim.Trace.enable tr;
-  for i = 1 to 5 do
-    Sw_sim.Trace.emit tr ~at:(Time.ms i) ~label:"t" (string_of_int i)
-  done;
-  let messages = List.map (fun e -> e.Sw_sim.Trace.message) (Sw_sim.Trace.entries tr) in
-  Alcotest.(check (list string)) "last 3 kept" [ "3"; "4"; "5" ] messages
-
-let test_trace_iter_fold_shim () =
-  (* The legacy module is a shim over Sw_obs.Trace ([t] is the same type):
-     typed events emitted through sw_obs read back here as rendered
-     strings, and iter/fold agree with entries. *)
-  let tr = Sw_sim.Trace.create () in
-  Sw_sim.Trace.enable tr;
-  Sw_sim.Trace.emit tr ~at:(Time.ms 1) ~label:"legacy" "one";
-  Sw_obs.Trace.emit tr ~at_ns:2_000_000L
-    (Sw_obs.Event.Message { label = "typed"; text = "two" });
-  let n = Sw_sim.Trace.fold (fun acc _ -> acc + 1) 0 tr in
-  Alcotest.(check int) "fold count" 2 n;
-  let labels = ref [] in
-  Sw_sim.Trace.iter tr (fun e -> labels := e.Sw_sim.Trace.label :: !labels);
-  Alcotest.(check (list string)) "iter order (oldest first)"
-    [ "legacy"; "typed" ] (List.rev !labels);
-  Alcotest.(check (list string)) "entries agree with iter"
-    [ "one"; "two" ]
-    (List.map (fun e -> e.Sw_sim.Trace.message) (Sw_sim.Trace.entries tr))
-
 (* --- Conductor ----------------------------------------------------------- *)
 
 module Conductor = Sw_sim.Conductor
 
+(* The classic global-minimum protocol: every pair bounded by [l]. *)
+let uniform n l = Array.make_matrix n n l
+
 let test_conductor_validation () =
   Alcotest.check_raises "no shards"
     (Invalid_argument "Conductor.create: no shards") (fun () ->
-      ignore (Conductor.create ~lookahead:(Time.ms 1) [||]));
-  Alcotest.check_raises "zero lookahead"
-    (Invalid_argument "Conductor.create: lookahead must be positive")
-    (fun () ->
-      ignore
-        (Conductor.create ~lookahead:Time.zero
-           [| Engine.create (); Engine.create () |]));
-  (* A single shard never windows, so any lookahead is fine. *)
-  ignore (Conductor.create ~lookahead:Time.zero [| Engine.create () |])
+      ignore (Conductor.create ~matrix:[||] [||]));
+  (* A single shard never windows, so its diagonal bound is never read. *)
+  ignore (Conductor.create ~matrix:(uniform 1 Time.zero) [| Engine.create () |])
 
 let test_conductor_matrix_validation () =
   let engines () = [| Engine.create (); Engine.create () |] in
@@ -527,8 +489,7 @@ let test_conductor_matrix_validation () =
     (Invalid_argument "Conductor.create: lookahead matrix must be n x n")
     (fun () ->
       ignore
-        (Conductor.create ~matrix:[| [| Time.ms 1 |] |] ~lookahead:(Time.ms 1)
-           (engines ())));
+        (Conductor.create ~matrix:(uniform 1 (Time.ms 1)) (engines ())));
   Alcotest.check_raises "non-positive off-diagonal"
     (Invalid_argument
        "Conductor.create: lookahead matrix entries must be positive off the \
@@ -538,12 +499,12 @@ let test_conductor_matrix_validation () =
         (Conductor.create
            ~matrix:
              [| [| Time.zero; Time.ms 1 |]; [| Time.zero; Time.zero |] |]
-           ~lookahead:(Time.ms 1) (engines ())));
+           (engines ())));
   (* Asymmetric entries are the point of the matrix; the diagonal is unused
      and may be anything. The conductor answers with the installed bound and
      keeps its own defensive copy. *)
   let m = [| [| Time.zero; Time.ms 2 |]; [| Time.us 300; Time.zero |] |] in
-  let c = Conductor.create ~matrix:m ~lookahead:(Time.ms 1) (engines ()) in
+  let c = Conductor.create ~matrix:m (engines ()) in
   m.(0).(1) <- Time.us 1;
   Alcotest.(check int) "L(0,1)" (Time.ms 2) (Conductor.lookahead c ~src:0 ~dst:1);
   Alcotest.(check int) "L(1,0)" (Time.us 300) (Conductor.lookahead c ~src:1 ~dst:0)
@@ -552,7 +513,9 @@ let test_conductor_matrix_validation () =
    that is what makes a late-installed fast link debuggable. *)
 let test_conductor_post_violation_names_pair () =
   let engines = [| Engine.create (); Engine.create () |] in
-  let c = Conductor.create ~parallel:false ~lookahead:(Time.ms 1) engines in
+  let c =
+    Conductor.create ~parallel:false ~matrix:(uniform 2 (Time.ms 1)) engines
+  in
   let message = ref "" in
   ignore
     (Engine.schedule_at engines.(0) (Time.us 100) (fun () ->
@@ -587,7 +550,7 @@ let test_conductor_matrix_parallel_matches_sequential () =
   let horizon = Time.ms 30 in
   let build ~parallel =
     let engines = Array.init n (fun _ -> Engine.create ()) in
-    let c = Conductor.create ~parallel ~matrix ~lookahead:(Time.us 200) engines in
+    let c = Conductor.create ~parallel ~matrix engines in
     let logs = Array.make n [] in
     let rng = Prng.create 0xA51DE5L in
     for src = 0 to n - 1 do
@@ -627,7 +590,9 @@ let test_conductor_matrix_parallel_matches_sequential () =
    which shard ran its window first. *)
 let test_conductor_exchange_order () =
   let engines = [| Engine.create (); Engine.create () |] in
-  let c = Conductor.create ~parallel:false ~lookahead:(Time.ms 1) engines in
+  let c =
+    Conductor.create ~parallel:false ~matrix:(uniform 2 (Time.ms 1)) engines
+  in
   let log = ref [] in
   let post_from src tags =
     ignore
@@ -650,7 +615,9 @@ let test_conductor_exchange_order () =
 
 let test_conductor_post_lookahead_violation () =
   let engines = [| Engine.create (); Engine.create () |] in
-  let c = Conductor.create ~parallel:false ~lookahead:(Time.ms 1) engines in
+  let c =
+    Conductor.create ~parallel:false ~matrix:(uniform 2 (Time.ms 1)) engines
+  in
   let violated = ref false in
   ignore
     (Engine.schedule_at engines.(0) (Time.us 100) (fun () ->
@@ -671,7 +638,7 @@ let test_conductor_parallel_matches_sequential () =
   let horizon = Time.ms 40 in
   let build ~parallel =
     let engines = Array.init n (fun _ -> Engine.create ()) in
-    let c = Conductor.create ~parallel ~lookahead engines in
+    let c = Conductor.create ~parallel ~matrix:(uniform n lookahead) engines in
     let logs = Array.make n [] in
     let rng = Prng.create 0xC0D0C7L in
     for src = 0 to n - 1 do
@@ -776,12 +743,5 @@ let () =
             test_conductor_parallel_matches_sequential;
           Alcotest.test_case "matrix parallel matches sequential" `Quick
             test_conductor_matrix_parallel_matches_sequential;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled is noop" `Quick test_trace_disabled_noop;
-          Alcotest.test_case "ring keeps most recent" `Quick test_trace_ring;
-          Alcotest.test_case "iter/fold over the sw_obs shim" `Quick
-            test_trace_iter_fold_shim;
         ] );
     ]

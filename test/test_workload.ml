@@ -373,9 +373,8 @@ let test_shards_1_vs_4_bytes () =
 (* The partition analogue of the shard-count contract, on the bench's
    chatty-but-splittable shape: a stride ring whose every east-west edge
    leaves its contiguous block, plus a fast rack-local replica
-   interconnect that only the per-pair lookahead matrix can keep out of
-   the cross-shard windows. Contiguous blocks under the legacy global
-   scalar, and affinity packing under the pairwise matrix, must both
+   interconnect that the per-pair lookahead matrix keeps out of the
+   cross-shard windows. Contiguous blocks and affinity packing must both
    reproduce the shards=1 bytes — while moving real cross-shard load. *)
 let test_partition_and_lookahead_bytes () =
   let w =
@@ -390,13 +389,13 @@ let test_partition_and_lookahead_bytes () =
     }
   in
   let r1 = Run.run ~shards:1 w in
-  let contiguous = Run.run ~partition:`Contiguous ~lookahead:`Global w in
-  let affinity = Run.run ~partition:`Affinity ~lookahead:`Pairwise w in
+  let contiguous = Run.run ~partition:`Contiguous w in
+  let affinity = Run.run ~partition:`Affinity w in
   Alcotest.(check bool) "served traffic" true (r1.Run.completed > 0);
-  Alcotest.(check string) "contiguous+global bytes"
+  Alcotest.(check string) "contiguous bytes"
     (contract_bytes r1.Run.metrics)
     (contract_bytes contiguous.Run.metrics);
-  Alcotest.(check string) "affinity+pairwise bytes"
+  Alcotest.(check string) "affinity bytes"
     (contract_bytes r1.Run.metrics)
     (contract_bytes affinity.Run.metrics);
   (* The stride ring cuts every contiguous block boundary; affinity packs
