@@ -54,15 +54,34 @@ let trace_emit_absent =
         (Sw_obs.Event.Packet_delivered
            { vm = 0; replica = 1; seq = 2; virt_ns = 3L })
 
+(* The cost of observing: emitting into an enabled sink that stores the
+   event, and into one whose [keep] rejects it (counted, not stored) — the
+   two fates of an emission into a lineage-filtered sink. *)
+let trace_emit_enabled ~keep =
+  let trace = Sw_obs.Trace.create ~capacity:1024 ~keep () in
+  Sw_obs.Trace.enable trace;
+  let sink = Some trace in
+  fun () ->
+    if Sw_obs.Trace.active sink then
+      Sw_obs.Trace.emit trace ~at_ns:0L
+        (Sw_obs.Event.Vm_exit
+           { vm = 0; replica = 1; machine = 1; virt_ns = 3L; instr = 4L })
+
 let counter_incr =
   let registry = Sw_obs.Registry.create () in
   let c = Sw_obs.Registry.counter registry "bench.counter" in
   fun () -> Sw_obs.Registry.Counter.incr c
 
+(* Values cycle through every octave up to 10^13 ns, so the cost is the
+   ladder-wide average rather than one bucket's. *)
 let histogram_observe =
   let registry = Sw_obs.Registry.create () in
   let h = Sw_obs.Registry.histogram registry "bench.histogram" in
-  fun () -> Sw_obs.Registry.Histogram.observe h 12_345
+  let values = Array.init 64 (fun i -> (1 lsl (i mod 44)) + (i * 7919)) in
+  let i = ref 0 in
+  fun () ->
+    Sw_obs.Registry.Histogram.observe h values.(!i land 63);
+    incr i
 
 let ping_cloud () =
   (* One full StopWatch delivery round trip. *)
@@ -86,6 +105,10 @@ let tests =
       Test.make ~name:"sim/prng-exponential" (Staged.stage prng);
       Test.make ~name:"obs/emit-disabled-sink" (Staged.stage trace_emit_disabled);
       Test.make ~name:"obs/emit-absent-sink" (Staged.stage trace_emit_absent);
+      Test.make ~name:"obs/emit-stored"
+        (Staged.stage (trace_emit_enabled ~keep:(fun _ -> true)));
+      Test.make ~name:"obs/emit-counted-only"
+        (Staged.stage (trace_emit_enabled ~keep:Sw_obs.Lineage.keep));
       Test.make ~name:"obs/counter-incr" (Staged.stage counter_incr);
       Test.make ~name:"obs/histogram-observe" (Staged.stage histogram_observe);
       Test.make ~name:"cloud/one-delivery-round" (Staged.stage ping_cloud);

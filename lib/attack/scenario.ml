@@ -161,7 +161,7 @@ let jitter xs =
   else Array.init (Array.length xs - 1) (fun i -> abs_float (xs.(i + 1) -. xs.(i)))
 
 let leak_series spec =
-  let tr = Sw_obs.Trace.create () in
+  let tr = Sw_obs.Trace.create ~keep:Sw_obs.Lineage.keep () in
   let spec = { spec with trace = Some tr } in
   let r = run spec in
   (* The attacker is deployed first, so its VM id is 0; its ingress-latency

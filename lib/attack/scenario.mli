@@ -77,5 +77,10 @@ val jitter : float array -> float array
     attribution: [attacker/inter-delivery] (guest-visible gaps),
     {!headline_key} and its [attacker/ping-jitter] dispersion view, and
     one [vmN/<mechanism>] series per {!Sw_obs.Lineage.mechanism}. Returns
-    plain data only, so results marshal across runner domains. *)
+    plain data only, so results marshal across runner domains.
+
+    The sink is a default-capacity ring that stores only
+    {!Sw_obs.Lineage.keep}'s events, so the lineage series cover the suffix
+    of the run the ring's last 65536 emissions span, not the whole run; a
+    long run (or a busy victim) shortens that suffix. *)
 val leak_series : spec -> (string * float array) list

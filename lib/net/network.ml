@@ -45,15 +45,24 @@ module Pair_tbl = Hashtbl.Make (Addr_pair)
 
 module Addr_tbl = Address.Table
 
-(* Stable int64 identity for stream keying: variant tag in the low bits,
-   id above. Never hashed — collisions would silently correlate streams. *)
+(* Stable int identity for stream keying: variant tag in the low bits, id
+   above. Never hashed — collisions would silently correlate streams. *)
 let addr_key = function
-  | Address.Vm i -> Int64.of_int ((i lsl 3) lor 1)
-  | Address.Vmm i -> Int64.of_int ((i lsl 3) lor 2)
-  | Address.Host i -> Int64.of_int ((i lsl 3) lor 3)
-  | Address.Ingress -> 4L
-  | Address.Egress -> 5L
-  | Address.Broadcast_addr -> 6L
+  | Address.Vm i -> (i lsl 3) lor 1
+  | Address.Vmm i -> (i lsl 3) lor 2
+  | Address.Host i -> (i lsl 3) lor 3
+  | Address.Ingress -> 4
+  | Address.Egress -> 5
+  | Address.Broadcast_addr -> 6
+
+(* A directed pair's table key: both [addr_key]s side by side, 31 bits
+   each, so distinct pairs never share a key. *)
+let pair_key src dst =
+  let s = addr_key src and d = addr_key dst in
+  if (s lor d) lsr 31 <> 0 then invalid_arg "Network: address id out of range";
+  (s lsl 31) lor d
+
+module Key_tbl = Sw_sim.Int_table
 
 type remote = {
   locate : Address.t -> int;
@@ -73,8 +82,8 @@ type t = {
   routes : Address.t Addr_tbl.t;
   link_overrides : link_params Pair_tbl.t;
   node_overrides : link_params Addr_tbl.t;
-  link_states : link_state Pair_tbl.t;
-  counters : Registry.Counter.t Pair_tbl.t;
+  link_states : link_state Key_tbl.t;  (* by [pair_key src dst] *)
+  counters : Registry.Counter.t Key_tbl.t;  (* by [pair_key src dst] *)
   mutable seq : int;
   (* Fault-injection state: an optional fabric-wide disturbance plus
      per-delivery-target disturbances, applied on top of the link's own
@@ -107,8 +116,8 @@ let create ?stream_seed engine ~default =
     routes = Addr_tbl.create 16;
     link_overrides = Pair_tbl.create 64;
     node_overrides = Addr_tbl.create 16;
-    link_states = Pair_tbl.create 64;
-    counters = Pair_tbl.create 64;
+    link_states = Key_tbl.create 64;
+    counters = Key_tbl.create 64;
     seq = 0;
     fault_all = None;
     fault_to = Addr_tbl.create 4;
@@ -151,15 +160,15 @@ let disturbance_for t target =
       | (Some _ as d), None | None, (Some _ as d) -> d
       | Some a, Some b -> Some (combine_disturbance a b))
 
-let link_state t pair =
-  match Pair_tbl.find_opt t.link_states pair with
+let link_state t ~src ~dst =
+  let key = pair_key src dst in
+  match Key_tbl.find_opt t.link_states key with
   | Some s -> s
   | None ->
       let params =
-        match Pair_tbl.find_opt t.link_overrides pair with
+        match Pair_tbl.find_opt t.link_overrides (src, dst) with
         | Some p -> p
         | None -> (
-            let src, dst = pair in
             match Addr_tbl.find_opt t.node_overrides dst with
             | Some p -> p
             | None -> (
@@ -171,19 +180,20 @@ let link_state t pair =
         match t.stream_seed with
         | None -> t.rng
         | Some seed ->
-            let src, dst = pair in
-            Sw_sim.Prng.derive ~seed [ 0x1147L; addr_key src; addr_key dst ]
+            let key a = Int64.of_int (addr_key a) in
+            Sw_sim.Prng.derive ~seed [ 0x1147L; key src; key dst ]
       in
       let s = { params; rng; busy_until = Time.zero; last_arrival = Time.zero } in
-      Pair_tbl.add t.link_states pair s;
+      Key_tbl.add t.link_states key s;
       s
 
-let pair_counter t ((src, dst) as pair) =
-  match Pair_tbl.find_opt t.counters pair with
+let pair_counter t ~src ~dst =
+  let key = pair_key src dst in
+  match Key_tbl.find_opt t.counters key with
   | Some c -> c
   | None ->
       let c = Registry.counter (Engine.metrics t.engine) (pair_metric ~src ~dst) in
-      Pair_tbl.add t.counters pair c;
+      Key_tbl.add t.counters key c;
       c
 
 (* Hand a packet to its target's handler at the current instant, with the
@@ -202,14 +212,14 @@ let inject t ~target (pkt : Packet.t) =
   | None -> Registry.Counter.incr t.m_undeliverable
   | Some handler ->
       Registry.Counter.incr t.m_delivered;
-      Registry.Counter.incr (pair_counter t (pkt.src, pkt.dst));
+      Registry.Counter.incr (pair_counter t ~src:pkt.src ~dst:pkt.dst);
       Sw_obs.Profile.time
         (Engine.profile t.engine)
         t.p_deliver
         (fun () -> handler pkt)
 
 let deliver_via t ~target (pkt : Packet.t) =
-  let state = link_state t (pkt.src, target) in
+  let state = link_state t ~src:pkt.src ~dst:target in
   let p = state.params in
   let dist = disturbance_for t target in
   if p.loss > 0. && Sw_sim.Prng.float state.rng < p.loss then
@@ -257,7 +267,7 @@ let deliver_via t ~target (pkt : Packet.t) =
             ignore
               (Engine.schedule_at ~kind:t.k_deliver t.engine arrive (fun () ->
                    Registry.Counter.incr t.m_delivered;
-                   Registry.Counter.incr (pair_counter t (pkt.src, pkt.dst));
+                   Registry.Counter.incr (pair_counter t ~src:pkt.src ~dst:pkt.dst);
                    Sw_obs.Profile.time
                      (Engine.profile t.engine)
                      t.p_deliver
@@ -313,7 +323,7 @@ let send t (pkt : Packet.t) =
       deliver_via t ~target pkt
 
 let count t ~src ~dst =
-  match Pair_tbl.find_opt t.counters (src, dst) with
+  match Key_tbl.find_opt t.counters (pair_key src dst) with
   | Some c -> Registry.Counter.value c
   | None -> 0
 
@@ -325,7 +335,7 @@ let fault_lost t = Registry.Counter.value t.m_fault_lost
 let reset_counters t =
   (* Reset handles in place: the registry keeps the same counter cells, so
      cached handles and future snapshots stay coherent. *)
-  Pair_tbl.iter (fun _ c -> Registry.Counter.reset c) t.counters;
+  Key_tbl.iter (fun _ c -> Registry.Counter.reset c) t.counters;
   Registry.Counter.reset t.m_delivered;
   Registry.Counter.reset t.m_undeliverable;
   Registry.Counter.reset t.m_lost;

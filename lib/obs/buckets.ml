@@ -28,13 +28,34 @@ let bound i =
   if i < 0 || i >= count then invalid_arg "Buckets.bound: index out of range";
   bounds.(i)
 
-let index (v : int) =
-  (* Binary search for the first bound >= v. *)
-  let rec go lo hi =
+(* Successive bounds differ by a factor of at least 2, so each octave
+   (2^e, 2^(e+1)] holds at most one of them: a value in that octave lands in
+   the first bucket whose bound exceeds 2^e, or the next one.
+   [by_octave.(e)] is that first bucket, found once by binary search; [e]
+   is the binary exponent of [v - 1], read off its float image, and lies in
+   [0, 62]. Past 2^53 the conversion may round [e] up by one, but every
+   octave from 2^43 on maps to the catch-all, whose [max_int] bound no int
+   exceeds. *)
+let by_octave =
+  let rec first_at_least v lo hi =
     if lo >= hi then lo
     else begin
       let mid = (lo + hi) / 2 in
-      if int_bounds.(mid) >= v then go lo mid else go (mid + 1) hi
+      if int_bounds.(mid) >= v then first_at_least v lo mid
+      else first_at_least v (mid + 1) hi
     end
   in
-  if v <= 1 then 0 else go 0 (count - 1)
+  Array.init 64 (fun e ->
+      if e >= 62 then count - 1 else first_at_least ((1 lsl e) + 1) 0 (count - 1))
+
+let index (v : int) =
+  if v <= 1 then 0
+  else begin
+    let e =
+      Int64.to_int
+        (Int64.shift_right_logical (Int64.bits_of_float (Float.of_int (v - 1))) 52)
+      - 1023
+    in
+    let i = Array.unsafe_get by_octave e in
+    if v <= Array.unsafe_get int_bounds i then i else i + 1
+  end

@@ -120,6 +120,13 @@ type t = {
   egress_gap_ms_by_vm : (int * float array) list;
 }
 
+let keep = function
+  | Event.Ingress_replicated _ | Event.Packet_proposed _
+  | Event.Median_adopted _ | Event.Packet_delivered _
+  | Event.Egress_released _ ->
+      true
+  | _ -> false
+
 let of_entries ?(dropped = 0) entries =
   let builders : (int * int, builder) Hashtbl.t = Hashtbl.create 256 in
   let builder vm seq =

@@ -100,6 +100,15 @@ val hist_mean_ns : hist -> float
 
 type t
 
+(** The event kinds {!of_entries} reads: [Ingress_replicated],
+    [Packet_proposed], [Median_adopted], [Packet_delivered] and
+    [Egress_released]. A sink created with [Trace.create ~keep] stores only
+    these and still counts every emission, so {!of_trace} on it gives the
+    same chains, series and {!dropped} as on an unfiltered sink of the same
+    capacity: both see the same suffix of the run (the last [capacity]
+    emissions, of any kind). *)
+val keep : Event.t -> bool
+
 (** [of_entries entries] reconstructs chains from entries in emission
     order. [dropped] (default 0) records how many entries the source ring
     lost; it is carried into {!dropped} and the summary's truncation

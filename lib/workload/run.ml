@@ -60,7 +60,10 @@ let prepare_single (w : Dsl.workload) =
   let trace =
     if not (w.trace || w.leak_audit) then None
     else begin
-      let tr = Sw_obs.Trace.create ~metrics:(Cloud.metrics cloud) () in
+      (* A sink that exists only for the leak audit stores just what
+         lineage reads; a [trace] scenario keeps every event. *)
+      let keep = if w.trace then None else Some Sw_obs.Lineage.keep in
+      let tr = Sw_obs.Trace.create ?keep ~metrics:(Cloud.metrics cloud) () in
       Cloud.attach_trace cloud tr;
       Sw_obs.Trace.enable tr;
       Some tr

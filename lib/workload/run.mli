@@ -28,7 +28,10 @@ type result = {
           an [Sw_leak.Audit] pairs across two configurations. Empty unless
           the scenario set [leak_audit]. *)
   trace : Sw_obs.Trace.t option;
-      (** The cloud-wide trace sink, when the scenario asked for one. *)
+      (** The cloud-wide trace sink, when the scenario asked for one. A
+          sink that [leak_audit] alone forced on stores only
+          {!Sw_obs.Lineage.keep}'s events; with [trace] set it stores
+          every event. *)
   metrics : Sw_obs.Snapshot.t;
   fired : int;
       (** Engine events fired across all shards — the numerator of the

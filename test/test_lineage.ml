@@ -1,8 +1,9 @@
 (* Tests for the causal trace pipeline: the mini JSON reader, the trace
-   ring's drop accounting, export meta, lineage reconstruction (a qcheck
-   property on synthetic well-formed streams, plus end-to-end runs with and
-   without a replica crash), chrome-export determinism under -j 1 vs -j 4,
-   and the wall-clock profile. *)
+   ring's drop accounting and its lineage-filtered form, export meta,
+   lineage reconstruction (a qcheck property on synthetic well-formed
+   streams, plus end-to-end runs with and without a replica crash),
+   chrome-export determinism under -j 1 vs -j 4, and the wall-clock
+   profile. *)
 
 module Time = Sw_sim.Time
 module Trace = Sw_obs.Trace
@@ -80,6 +81,120 @@ let test_trace_dropped () =
   Trace.emit tr ~at_ns:1L (delivered 1);
   let l = Lineage.of_trace tr in
   Alcotest.(check int) "lineage carries dropped" 0 (Lineage.dropped l)
+
+(* --- Filtered sinks ----------------------------------------------------- *)
+
+(* Everything an [of_trace] consumer can read back, in one comparable
+   value. *)
+let lineage_view tr =
+  let l = Lineage.of_trace tr in
+  ( ( Lineage.chains l,
+      Lineage.orphans l,
+      Lineage.observations l,
+      Lineage.median_wins l,
+      Lineage.skew_series l ),
+    ( Lineage.propose_to_adopt l,
+      Lineage.adopt_to_deliver l,
+      Lineage.negative_lags l,
+      (Lineage.total l, Lineage.complete l, Lineage.in_flight l),
+      Lineage.dropped l ) )
+
+type op = Emit of Event.t | Clear | Toggle
+
+(* Small vm/seq/replica ranges so streams form (partial) chains; the
+   non-lineage kinds are the ones a filtered sink must count but not
+   store. *)
+let gen_event =
+  let open QCheck.Gen in
+  let* vm = 0 -- 1 and* seq = 0 -- 5 and* r = 0 -- 2 and* v = 0 -- 9_999 in
+  let virt_ns = Int64.of_int v in
+  oneofl
+    [
+      Event.Ingress_replicated { vm; ingress_seq = seq; copies = 3; size = 100 };
+      Event.Packet_proposed
+        { vm; observer = r; proposer = (r + v) mod 3; ingress_seq = seq; virt_ns };
+      Event.Median_adopted
+        {
+          vm;
+          replica = r;
+          ingress_seq = seq;
+          virt_ns;
+          proposals = [ (0, virt_ns); (1, Int64.add virt_ns 7L) ];
+        };
+      Event.Packet_delivered { vm; replica = r; seq; virt_ns };
+      Event.Egress_released { vm; seq; rank = 2; copies = 3 };
+      Event.Vm_exit { vm; replica = r; machine = r; virt_ns; instr = 1L };
+      Event.Disk_irq { vm; replica = r; tag = seq; virt_ns };
+      Event.Span_begin { name = "s" };
+    ]
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [ (40, map (fun e -> Emit e) gen_event); (1, return Clear); (1, return Toggle) ])
+
+let prop_filtered_sink_matches_unfiltered =
+  QCheck.Test.make ~count:500
+    ~name:"lineage-filtered sink = unfiltered sink (lineage, dropped)"
+    QCheck.(
+      make
+        ~print:(fun (cap, ops) ->
+          Printf.sprintf "capacity %d, %d ops" cap (List.length ops))
+        Gen.(pair (1 -- 64) (list_size (0 -- 400) gen_op)))
+    (fun (capacity, ops) ->
+      let sink keep =
+        let r = Registry.create () in
+        let tr = Trace.create ~capacity ?keep ~metrics:r () in
+        Trace.enable tr;
+        (tr, r)
+      in
+      let full, r_full = sink None and lin, r_lin = sink (Some Lineage.keep) in
+      List.iteri
+        (fun i op ->
+          List.iter
+            (fun tr ->
+              match op with
+              | Emit e -> Trace.emit tr ~at_ns:(Int64.of_int i) e
+              | Clear -> Trace.clear tr
+              | Toggle ->
+                  if Trace.enabled tr then Trace.disable tr else Trace.enable tr)
+            [ full; lin ])
+        ops;
+      let mirror r = Sw_obs.Snapshot.counter (Registry.snapshot r) "trace.dropped" in
+      Trace.dropped lin = Trace.dropped full
+      && mirror r_lin = Trace.dropped lin
+      && mirror r_full = Trace.dropped full
+      && Trace.entries lin
+         = List.filter (fun e -> Lineage.keep e.Trace.event) (Trace.entries full)
+      && compare (lineage_view lin) (lineage_view full) = 0)
+
+(* The Fig. 4 StopWatch/victim configuration at 4 simulated s overflows the
+   default ring; the filtered sink must report the drop count an unfiltered
+   ring reports (116059 at seed 7, before filtering existed) and the same
+   lineage. *)
+let test_fig4_filtered_sink () =
+  let spec =
+    let scn =
+      List.find Sys.file_exists [ "../examples/fig4.scn"; "examples/fig4.scn" ]
+    in
+    match Sw_workload.Dsl.load_file scn with
+    | Ok { Sw_workload.Dsl.kind = Sw_workload.Dsl.Attack a; _ } ->
+        List.assoc "fig4/sw/victim"
+          (Sw_workload.Dsl.attack_specs
+             { a with Sw_workload.Dsl.seed = 7L; duration = Time.s 4 })
+    | _ -> Alcotest.fail "fig4.scn is not an attack scenario"
+  in
+  let traced keep =
+    let tr = Trace.create ?keep () in
+    ignore (Scenario.run { spec with Scenario.trace = Some tr });
+    tr
+  in
+  let lin = traced (Some Lineage.keep) and full = traced None in
+  Alcotest.(check int) "dropped pinned" 116_059 (Trace.dropped lin);
+  Alcotest.(check int) "dropped as unfiltered" (Trace.dropped full)
+    (Trace.dropped lin);
+  Alcotest.(check bool) "same lineage" true
+    (compare (lineage_view lin) (lineage_view full) = 0)
 
 (* --- Export meta ---------------------------------------------------------- *)
 
@@ -372,7 +487,12 @@ let () =
             test_json_roundtrips_export;
         ] );
       ( "trace",
-        [ Alcotest.test_case "dropped accounting" `Quick test_trace_dropped ] );
+        [
+          Alcotest.test_case "dropped accounting" `Quick test_trace_dropped;
+          QCheck_alcotest.to_alcotest prop_filtered_sink_matches_unfiltered;
+          Alcotest.test_case "fig4 sw/victim: filtered sink" `Slow
+            test_fig4_filtered_sink;
+        ] );
       ( "export",
         [ Alcotest.test_case "meta shape" `Quick test_export_meta_shape ] );
       ( "lineage",

@@ -122,18 +122,10 @@ let test_bucket_bounds_monotone () =
   Alcotest.(check int64) "catch-all" Int64.max_int
     (Buckets.bound (Buckets.count - 1))
 
-let prop_bucket_index =
-  QCheck.Test.make ~count:1000 ~name:"index places a value within its bounds"
-    QCheck.(int_bound 1_000_000_000)
-    (fun n ->
-      let v = Int64.of_int n in
-      let i = Buckets.index n in
-      let upper_ok = Int64.compare v (Buckets.bound i) <= 0 in
-      let lower_ok = i = 0 || Int64.compare (Buckets.bound (i - 1)) v < 0 in
-      upper_ok && lower_ok)
-
 (* The int search against the int64 search it replaced, at every bound,
-   one either side of it, and at the top of the int range (the catch-all). *)
+   one either side of it, and at the top of the int range (the catch-all).
+   This binary search is also the reference the octave lookup in
+   [Buckets.index] is checked against. *)
 let int64_index v =
   let rec go lo hi =
     if lo >= hi then lo
@@ -144,6 +136,35 @@ let int64_index v =
     end
   in
   if Int64.compare v 1L <= 0 then 0 else go 0 (Buckets.count - 1)
+
+(* Log-uniform over [0, max_int]: a uniform bit length, then a uniform value
+   of that length, nudged onto a power of two or either side of one a
+   quarter of the time. Every octave — the ladder's last finite bound
+   (5x10^12) and the catch-all above it included — is drawn about equally
+   often. *)
+let log_uniform_int =
+  QCheck.Gen.(
+    let* bits = 0 -- 62 in
+    let* v =
+      if bits = 0 then return 0
+      else
+        let lo = 1 lsl (bits - 1) in
+        map (fun x -> lo lor (x land (lo - 1))) int
+    in
+    let* nudge = 0 -- 7 in
+    let pow = 1 lsl min bits 61 in
+    return
+      (match nudge with 0 -> pow | 1 -> pow - 1 | 2 -> pow + 1 | _ -> v))
+
+let prop_bucket_index =
+  QCheck.Test.make ~count:5000 ~name:"index places a value within its bounds"
+    QCheck.(make ~print:string_of_int log_uniform_int)
+    (fun n ->
+      let v = Int64.of_int n in
+      let i = Buckets.index n in
+      let upper_ok = Int64.compare v (Buckets.bound i) <= 0 in
+      let lower_ok = i = 0 || Int64.compare (Buckets.bound (i - 1)) v < 0 in
+      upper_ok && lower_ok && i = int64_index v)
 
 let test_bucket_index_matches_int64_search () =
   let probes =
