@@ -83,6 +83,23 @@ let histogram_observe =
     Sw_obs.Registry.Histogram.observe h values.(!i land 63);
     incr i
 
+(* A fixed synthetic snapshot — 2048 counters, 1024 sums with fractional
+   values and 1024 histograms of 8 samples across the ladder — rendered
+   whole, as every exported artifact is. *)
+let export_snapshot =
+  let module R = Sw_obs.Registry in
+  let r = R.create () in
+  for i = 0 to 2047 do
+    R.Counter.add (R.counter r (Printf.sprintf "bench.c%04d" i)) (i * 7919);
+    if i < 1024 then begin
+      R.Sum.add (R.sum r (Printf.sprintf "bench.s%04d" i)) (float_of_int i /. 7.);
+      let h = R.histogram r (Printf.sprintf "bench.h%04d" i) in
+      for k = 0 to 7 do R.Histogram.observe h ((1 lsl ((i + k) mod 40)) + k) done
+    end
+  done;
+  let snapshot = R.snapshot r in
+  fun () -> ignore (Sw_obs.Export.to_json_string snapshot)
+
 let ping_cloud () =
   (* One full StopWatch delivery round trip. *)
   let cloud = Stopwatch.Cloud.create ~machines:3 () in
@@ -111,6 +128,7 @@ let tests =
         (Staged.stage (trace_emit_enabled ~keep:Sw_obs.Lineage.keep));
       Test.make ~name:"obs/counter-incr" (Staged.stage counter_incr);
       Test.make ~name:"obs/histogram-observe" (Staged.stage histogram_observe);
+      Test.make ~name:"obs/export-snapshot" (Staged.stage export_snapshot);
       Test.make ~name:"cloud/one-delivery-round" (Staged.stage ping_cloud);
     ]
 

@@ -401,18 +401,13 @@ let run () =
              (List.map
                 (fun (o, identical) ->
                   ( o.cfg.label,
-                    Report.Obj
-                      [
-                        ("issued", Report.Int o.r.Run.issued);
-                        ("completed", Report.Int o.r.Run.completed);
-                        ("hits", Report.Int o.r.Run.hits);
-                        ("misses", Report.Int o.r.Run.misses);
-                        ("p50_ms", Report.Float o.r.Run.p50_ms);
-                        ("p99_ms", Report.Float o.r.Run.p99_ms);
-                        ("cross_shard", Report.Int o.r.Run.cross_shard);
-                        ("windows", Report.Int o.windows);
-                        ("identical_to_shards1", Report.Bool identical);
-                      ] ))
+                    Run.to_json o.r
+                      ~extra:
+                        [
+                          ("cross_shard", Report.Int o.r.Run.cross_shard);
+                          ("windows", Report.Int o.windows);
+                          ("identical_to_shards1", Report.Bool identical);
+                        ] ))
                 rows) );
        ]);
   Bench_report.add_perf "shard_scale"

@@ -137,17 +137,4 @@ let run ?pool () =
         multipliers)
     (shapes duration);
   Bench_report.add "fig9"
-    (Report.Obj
-       (List.map
-          (fun (key, r) ->
-            ( key,
-              Report.Obj
-                [
-                  ("issued", Report.Int r.Run.issued);
-                  ("completed", Report.Int r.Run.completed);
-                  ("hits", Report.Int r.Run.hits);
-                  ("misses", Report.Int r.Run.misses);
-                  ("p50_ms", Report.Float r.Run.p50_ms);
-                  ("p99_ms", Report.Float r.Run.p99_ms);
-                ] ))
-          results))
+    (Report.Obj (List.map (fun (key, r) -> (key, Run.to_json r)) results))

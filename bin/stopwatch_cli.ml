@@ -203,39 +203,26 @@ let attack_cmd =
 
 (* --- trace -------------------------------------------------------------- *)
 
-let escape_json buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 (* One object per line: timestamp, kind tag, structured fields rendered to
    the event's canonical one-line description. *)
 let jsonl_of_entries ~meta entries =
+  let module J = Sw_obs.Json in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"meta\":";
-  Buffer.add_string buf (Sw_obs.Export.meta_json meta);
-  Buffer.add_string buf "}\n";
+  let line v =
+    J.to_buffer buf v;
+    Buffer.add_char buf '\n'
+  in
+  line (J.Obj [ ("meta", meta) ]);
   List.iter
     (fun (e : Sw_obs.Trace.entry) ->
-      Buffer.add_string buf "{\"at_ns\":";
-      Buffer.add_string buf (Int64.to_string e.Sw_obs.Trace.at_ns);
-      Buffer.add_string buf ",\"kind\":";
-      escape_json buf (Sw_obs.Event.label e.Sw_obs.Trace.event);
-      Buffer.add_string buf ",\"text\":";
-      escape_json buf
-        (Format.asprintf "%a" Sw_obs.Event.pp e.Sw_obs.Trace.event);
-      Buffer.add_string buf "}\n")
+      let ev = e.Sw_obs.Trace.event in
+      line
+        (J.Obj
+           [
+             ("at_ns", J.of_int64 e.Sw_obs.Trace.at_ns);
+             ("kind", J.String (Sw_obs.Event.label ev));
+             ("text", J.String (Format.asprintf "%a" Sw_obs.Event.pp ev));
+           ]))
     entries;
   Buffer.contents buf
 
@@ -557,20 +544,7 @@ let workload_check_cmd =
     Term.(const run $ files)
 
 let workload_report results =
-  Sw_runner.Report.Obj
-    (List.map
-       (fun (key, (r : Wrun.result)) ->
-         ( key,
-           Sw_runner.Report.Obj
-             [
-               ("issued", Sw_runner.Report.Int r.Wrun.issued);
-               ("completed", Sw_runner.Report.Int r.Wrun.completed);
-               ("hits", Sw_runner.Report.Int r.Wrun.hits);
-               ("misses", Sw_runner.Report.Int r.Wrun.misses);
-               ("p50_ms", Sw_runner.Report.Float r.Wrun.p50_ms);
-               ("p99_ms", Sw_runner.Report.Float r.Wrun.p99_ms);
-             ] ))
-       results)
+  Sw_obs.Json.Obj (List.map (fun (key, r) -> (key, Wrun.to_json r)) results)
 
 let run_variants ~pool ~make jobs_list =
   let jobs =
@@ -585,9 +559,9 @@ let run_variants ~pool ~make jobs_list =
     (Sw_runner.Runner.map ?pool jobs)
 
 (* One warm-start cache entry per (variant workload, shards, partition):
-   the digest of the re-printed scenario already covers seed, duration,
-   multiplier scaling, and the topology block, so any change to what gets
-   built changes the key and misses the cache. *)
+   the digest of the re-printed scenario covers the seed (printed exactly,
+   see [Json.of_int64]), duration, multiplier scaling and the topology
+   block, so any change to what gets built changes the key. *)
 let warm_key ~name (w : Dsl.workload) ~shards ~partition =
   Printf.sprintf "workload:%s:shards=%d:partition=%s"
     (Digest.to_hex
@@ -689,7 +663,7 @@ let workload_run_cmd =
                   key r.Wrun.issued r.Wrun.completed r.Wrun.hits r.Wrun.misses
                   r.Wrun.p50_ms r.Wrun.p99_ms)
               results;
-            let report = Sw_runner.Report.to_string (workload_report results) in
+            let report = Sw_obs.Json.to_string (workload_report results) in
             Option.iter (fun path -> write_output (Some path) (report ^ "\n")) output;
             if not smoke then 0
             else begin
@@ -862,8 +836,7 @@ let soak_cmd =
             Option.iter
               (fun path ->
                 write_output (Some path)
-                  (Sw_runner.Report.to_string
-                     (workload_report [ (scn.Dsl.name, r) ])
+                  (Sw_obs.Json.to_string (workload_report [ (scn.Dsl.name, r) ])
                   ^ "\n"))
               output;
             0)
@@ -1039,20 +1012,19 @@ let leak_cmd =
                     (Audit.attribution a))
                 audits;
               let report =
-                Sw_runner.Report.Obj
+                Sw_obs.Json.Obj
                   [
-                    ("name", Sw_runner.Report.String name);
-                    ( "leakage",
-                      Sw_runner.Report.List (List.map Audit.to_report audits) );
+                    ("name", String name);
+                    ("leakage", List (List.map Audit.to_report audits));
                     ( "metrics",
-                      Sw_runner.Report.of_metrics
-                        (Sw_obs.Registry.snapshot registry) );
+                      Sw_obs.Export.to_json (Sw_obs.Registry.snapshot registry)
+                    );
                   ]
               in
               Option.iter
                 (fun path ->
                   write_output (Some path)
-                    (Sw_runner.Report.to_string report ^ "\n"))
+                    (Sw_obs.Json.to_string report ^ "\n"))
                 output;
               if not smoke then 0
               else begin

@@ -64,7 +64,7 @@ let load_cloud path =
 
 let render_data = function
   | Snapshot.Counter n -> string_of_int n
-  | Snapshot.Sum x | Snapshot.Gauge x -> Export.float_repr x
+  | Snapshot.Sum x | Snapshot.Gauge x -> Sw_obs.Json.(to_string (Float x))
   | Snapshot.Histogram h ->
       Printf.sprintf "histogram(count=%d,total=%Ldns)" h.Snapshot.count
         h.Snapshot.total

@@ -24,64 +24,30 @@ let profile_pid = 9990
 let ingress_tid = 1
 let egress_tid = 2
 
-let add_ts buf ns =
-  (* Microseconds with nanosecond precision, as a decimal literal. *)
-  Buffer.add_string buf
-    (Printf.sprintf "%Ld.%03Ld" (Int64.div ns 1000L) (Int64.rem ns 1000L))
-
-let add_escaped buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 type emitter = { buf : Buffer.t; mutable first : bool }
+
+(* Fields stream straight into the buffer: [ts] is an exact microsecond
+   decimal ("%Ld.%03Ld") that a [Json.Float] would reformat. *)
+let obj fields buf = Json.obj_to_buffer buf (fun buf emit -> emit buf) fields
 
 let event em fields =
   if em.first then em.first <- false else Buffer.add_char em.buf ',';
-  Buffer.add_char em.buf '{';
-  List.iteri
-    (fun i (k, emit_v) ->
-      if i > 0 then Buffer.add_char em.buf ',';
-      add_escaped em.buf k;
-      Buffer.add_char em.buf ':';
-      emit_v em.buf)
-    fields;
-  Buffer.add_char em.buf '}'
+  obj fields em.buf
 
-let str s buf = add_escaped buf s
+let str s buf = Json.to_buffer buf (String s)
 let int n buf = Buffer.add_string buf (string_of_int n)
 let i64 n buf = Buffer.add_string buf (Int64.to_string n)
-let ts ns buf = add_ts buf ns
-let raw s buf = Buffer.add_string buf s
 
-let args fields buf =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, emit_v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_escaped buf k;
-      Buffer.add_char buf ':';
-      emit_v buf)
-    fields;
-  Buffer.add_char buf '}'
+let ts ns buf =
+  Buffer.add_string buf
+    (Printf.sprintf "%Ld.%03Ld" (Int64.div ns 1000L) (Int64.rem ns 1000L))
 
 let metadata em ~name ~pid ?tid ~value () =
   let tid_field = match tid with None -> [] | Some t -> [ ("tid", int t) ] in
   event em
     ([ ("name", str name); ("ph", str "M"); ("pid", int pid) ]
     @ tid_field
-    @ [ ("args", args [ ("name", str value) ]) ])
+    @ [ ("args", obj [ ("name", str value) ]) ])
 
 (* Thin slice a flow arrow can bind to. *)
 let slice em ~name ~at ~pid ~tid a =
@@ -90,10 +56,10 @@ let slice em ~name ~at ~pid ~tid a =
       ("name", str name);
       ("ph", str "X");
       ("ts", ts at);
-      ("dur", raw "1");
+      ("dur", int 1);
       ("pid", int pid);
       ("tid", int tid);
-      ("args", args a);
+      ("args", obj a);
     ]
 
 let instant em ~name ~at ~pid ~tid a =
@@ -105,7 +71,7 @@ let instant em ~name ~at ~pid ~tid a =
       ("pid", int pid);
       ("tid", int tid);
       ("s", str "t");
-      ("args", args a);
+      ("args", obj a);
     ]
 
 (* One lineage hop: a flow start bound to the source slice and a flow end
@@ -327,7 +293,7 @@ let to_json ?meta ?profile entries =
               ("ts", ts at);
               ("pid", int span_pid);
               ("tid", int 1);
-              ("args", args [ ("elapsed_ns", i64 elapsed_ns) ]);
+              ("args", obj [ ("elapsed_ns", i64 elapsed_ns) ]);
             ])
     entries;
   (* Profile counter tracks: one cumulative sample per timer at the end of
@@ -347,7 +313,7 @@ let to_json ?meta ?profile entries =
                 ("ts", ts !last_ts);
                 ("pid", int profile_pid);
                 ( "args",
-                  args [ ("total_ns", int total_ns); ("calls", int calls) ] );
+                  obj [ ("total_ns", int total_ns); ("calls", int calls) ] );
               ])
           timers
       end);
@@ -356,6 +322,6 @@ let to_json ?meta ?profile entries =
   | None -> ()
   | Some m ->
       Buffer.add_string em.buf ",\"otherData\":";
-      Buffer.add_string em.buf (Export.meta_json m));
+      Json.to_buffer em.buf m);
   Buffer.add_string em.buf "}";
   Buffer.contents em.buf

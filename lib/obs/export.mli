@@ -1,10 +1,10 @@
 (** Deterministic JSON rendering of a {!Snapshot}.
 
     The output is a pure function of the snapshot's contents: metric names
-    appear in ascending order, integers print exactly, and floats use the
-    shortest representation that round-trips. Two registries that merged to
-    equal snapshots therefore serialise byte-identically — the property the
-    bench [-j 1] vs [-j N] comparison relies on.
+    appear in ascending order and values print by {!Json}'s writer
+    contract (integers exactly, floats round-tripping). Two registries
+    that merged to equal snapshots therefore serialise byte-identically —
+    the property the bench [-j 1] vs [-j N] comparison relies on.
 
     Schema: a single object mapping each metric path to
     {v
@@ -19,18 +19,16 @@
     catch-all bucket's bound prints as [null]. [min]/[max] are [null] when
     [count = 0]. *)
 
-(** Self-description for exported artifacts: which run produced the bytes.
-    Every field is optional; absent fields are omitted from the JSON. *)
-type meta = {
-  seed : int64 option;
-  scenario : string option;
-  trace_capacity : int option;
-  trace_dropped : int option;
-      (** Entries the trace ring overwrote — nonzero means the exported
-          trace is a suffix of the run ({!Trace.dropped}). *)
-  registry_enabled : bool option;
-}
+(** Self-description for exported artifacts — which run produced the
+    bytes — as the JSON object {!Chrome}'s [otherData] and the CLI's JSONL
+    header also carry. *)
+type meta = Json.t
 
+(** [meta ()] lists the given fields in this order and omits absent ones.
+    [trace_dropped] counts the entries the trace ring overwrote: nonzero
+    means the exported trace is a suffix of the run ({!Trace.dropped}). A
+    seed that does not fit in an OCaml [int] prints as a decimal string
+    ({!Json.of_int64}). *)
 val meta :
   ?seed:int64 ->
   ?scenario:string ->
@@ -40,17 +38,17 @@ val meta :
   unit ->
   meta
 
-(** The meta object alone, rendered canonically (fields in declaration
-    order, [None]s omitted) — shared with {!Chrome}'s [otherData]. *)
-val meta_json : meta -> string
+(** The one rendering of a snapshot as a {!Json.t}: the flat metric object
+    documented above. *)
+val to_json : Snapshot.t -> Json.t
 
-(** Canonical JSON for one snapshot (no trailing newline). Without [meta]
-    the output is the flat metric object documented above; with [meta] it
-    becomes [{"meta":{...},"metrics":{<flat object>}}], so artifacts carry
-    their seed, scenario and truncation state. *)
+(** The bytes of {!to_json} (no trailing newline), written metric by
+    metric so the whole tree of a large snapshot is never live at once.
+    With [meta] the output is [{"meta":{...},"metrics":{<flat object>}}],
+    so artifacts carry their seed, scenario and truncation state. *)
 val to_json_string : ?meta:meta -> Snapshot.t -> string
 
-(** [float_repr f] is the shortest decimal representation of [f] that parses
-    back to the same float ("nan"/"inf" quoted). Exposed so other emitters
-    can match this module byte-for-byte. *)
+(** [float_repr f] is [Json.to_string (Float f)]. Kept because
+    [perfbench/bench.ml], whose source the benchmark pins, formats its
+    numbers with it. *)
 val float_repr : float -> string

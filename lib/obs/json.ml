@@ -1,10 +1,11 @@
 type t =
   | Null
   | Bool of bool
-  | Number of float
+  | Int of int
+  | Float of float
   | String of string
-  | Array of t list
-  | Object of (string * t) list
+  | List of t list
+  | Obj of (string * t) list
 
 exception Error of string
 
@@ -84,10 +85,13 @@ let parse_string_body st =
                 if st.pos + 4 > String.length st.src then
                   fail st "truncated \\u escape";
                 let hex = String.sub st.src st.pos 4 in
-                let code =
-                  try int_of_string ("0x" ^ hex)
-                  with _ -> fail st "bad \\u escape"
+                let is_hex = function
+                  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                  | _ -> false
                 in
+                if not (String.for_all is_hex hex) then
+                  fail st "bad \\u escape";
+                let code = int_of_string ("0x" ^ hex) in
                 st.pos <- st.pos + 4;
                 (* Keep it simple: encode the code point as UTF-8; surrogate
                    pairs in test artifacts are out of scope, stored raw. *)
@@ -127,9 +131,12 @@ let parse_number st =
   in
   go ();
   let s = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Number f
-  | None -> fail st (Printf.sprintf "bad number %S" s)
+  match int_of_string_opt s with
+  | Some i -> Int i
+  | None -> (
+      match float_of_string_opt s with
+      | Some f -> Float f
+      | None -> fail st (Printf.sprintf "bad number %S" s))
 
 let rec parse_value st =
   skip_ws st;
@@ -140,7 +147,7 @@ let rec parse_value st =
       skip_ws st;
       if peek st = Some '}' then begin
         advance st;
-        Object []
+        Obj []
       end
       else begin
         let members = ref [] in
@@ -161,14 +168,14 @@ let rec parse_value st =
           | _ -> fail st "expected ',' or '}'"
         in
         member ();
-        Object (List.rev !members)
+        Obj (List.rev !members)
       end
   | Some '[' ->
       advance st;
       skip_ws st;
       if peek st = Some ']' then begin
         advance st;
-        Array []
+        List []
       end
       else begin
         let items = ref [] in
@@ -184,7 +191,7 @@ let rec parse_value st =
           | _ -> fail st "expected ',' or ']'"
         in
         item ();
-        Array (List.rev !items)
+        List (List.rev !items)
       end
   | Some '"' ->
       advance st;
@@ -207,12 +214,20 @@ let parse s =
   | exception Error msg -> Error msg
 
 let member name = function
-  | Object fields -> List.assoc_opt name fields
+  | Obj fields -> List.assoc_opt name fields
   | _ -> None
 
-let to_list = function Array items -> Some items | _ -> None
+let to_list = function List items -> Some items | _ -> None
 let as_string = function String s -> Some s | _ -> None
-let to_number = function Number f -> Some f | _ -> None
+
+let to_number = function
+  | Int i -> Some (float_of_int i)
+  | Float f -> Some f
+  | _ -> None
+
+let of_int64 v =
+  let i = Int64.to_int v in
+  if Int64.equal (Int64.of_int i) v then Int i else String (Int64.to_string v)
 
 (* --- Writer ------------------------------------------------------------- *)
 
@@ -232,40 +247,44 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
-let number_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+let float_repr f =
+  if Float.is_nan f then "\"nan\""
+  else if f = Float.infinity then "\"inf\""
+  else if f = Float.neg_infinity then "\"-inf\""
   else
     (* Shortest representation that round-trips, so serialisation is a
-       function of the float's bits alone (same discipline as
-       [Sw_runner.Report]). *)
+       function of the float's bits alone. *)
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let rec emit buf = function
+let obj_to_buffer buf value fields =
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      escape buf k;
+      Buffer.add_char buf ':';
+      value buf v)
+    fields;
+  Buffer.add_char buf '}'
+
+let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Number f -> Buffer.add_string buf (number_repr f)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (float_repr f)
   | String s -> escape buf s
-  | Array items ->
+  | List items ->
       Buffer.add_char buf '[';
       List.iteri
         (fun i item ->
           if i > 0 then Buffer.add_char buf ',';
-          emit buf item)
+          to_buffer buf item)
         items;
       Buffer.add_char buf ']'
-  | Object fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
-          Buffer.add_char buf ':';
-          emit buf v)
-        fields;
-      Buffer.add_char buf '}'
+  | Obj fields -> obj_to_buffer buf to_buffer fields
 
 let to_string json =
-  let buf = Buffer.create 256 in
-  emit buf json;
+  let buf = Buffer.create 1024 in
+  to_buffer buf json;
   Buffer.contents buf

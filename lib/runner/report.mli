@@ -1,14 +1,12 @@
-(** Minimal deterministic JSON emission for machine-readable benchmark
-    results ([BENCH_results.json]).
+(** Machine-readable benchmark results ([BENCH_results.json]) and the
+    runner's outcome objects, as {!Sw_obs.Json} values.
 
-    No external JSON dependency; the serializer is deliberately tiny and —
-    important for the runner's determinism contract — byte-stable: equal
-    values always serialise to equal strings, so parallel and sequential
-    sweeps can be compared with [String.equal]. Non-finite floats (which
-    JSON cannot carry) serialise as the strings ["nan"] / ["inf"] /
-    ["-inf"]. *)
+    [t] is {!Sw_obs.Json.t} itself, re-exported so callers can keep
+    writing [Report.Obj] / [Report.Int]; serialisation is that codec's
+    byte-stable writer, so parallel and sequential sweeps can be compared
+    with [String.equal]. *)
 
-type t =
+type t = Sw_obs.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -41,12 +39,8 @@ val of_failure : Runner.failure -> t
     {!of_failure}'s object. *)
 val of_outcome : ('a -> t) -> 'a Runner.outcome -> t
 
-(** One metrics snapshot as an object keyed by metric path; each value is
-    [{"kind", "value"}] (counter/sum/gauge) or the histogram object
-    [{"kind","count","total","min","max","buckets"}], with buckets as
-    [[upper_bound_ns, count]] pairs (the catch-all bound is [Null]). Same
-    schema as [Sw_obs.Export.to_json_string], so equal snapshots serialise
-    to equal bytes either way. *)
+(** [Sw_obs.Export.to_json]. Kept because [perfbench/bench.ml], whose
+    source the benchmark pins, calls it. *)
 val of_metrics : Sw_obs.Snapshot.t -> t
 
 (** [bench_file ?metrics ?perf ~workers ~wall_s ~timings ~experiments ()]

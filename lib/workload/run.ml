@@ -40,6 +40,19 @@ let quantile_ms snapshot name q =
       let bound = Int64.max h.Snapshot.min (Int64.min h.Snapshot.max bound) in
       Int64.to_float bound /. 1e6
 
+let to_json ?(extra = []) r =
+  Sw_obs.Json.(
+    Obj
+      ([
+         ("issued", Int r.issued);
+         ("completed", Int r.completed);
+         ("hits", Int r.hits);
+         ("misses", Int r.misses);
+         ("p50_ms", Float r.p50_ms);
+         ("p99_ms", Float r.p99_ms);
+       ]
+      @ extra))
+
 (* Everything in flight when the offered load stops gets this long to
    drain before we snapshot. *)
 let drain = Time.ms 500

@@ -45,6 +45,11 @@ type result = {
     when the histogram is absent or empty. *)
 val quantile_ms : Sw_obs.Snapshot.t -> string -> float -> float
 
+(** The result row every report prints:
+    [{"issued","completed","hits","misses","p50_ms","p99_ms"}], then
+    [extra]'s fields in order. *)
+val to_json : ?extra:(string * Sw_obs.Json.t) list -> result -> Sw_obs.Json.t
+
 (** A built-but-not-yet-run scenario: the cloud with all guests, clients,
     probes, and fault schedules installed, the time the load (plus drain)
     ends, and a [finish] thunk that distils the result once the simulation

@@ -39,7 +39,9 @@ let test_json_parse () =
       match Json.parse bad with
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" bad)
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
+    [
+      ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated"; "\"\\u1_23\"";
+    ]
 
 let test_json_roundtrips_export () =
   (* The reader accepts what our own emitters produce. *)
@@ -205,16 +207,16 @@ let test_export_meta_shape () =
   in
   Alcotest.(check string) "meta object, declaration order"
     "{\"seed\":7,\"scenario\":\"x\",\"trace_capacity\":16,\"trace_dropped\":2,\"registry_enabled\":true}"
-    (Export.meta_json m);
+    (Json.to_string m);
   Alcotest.(check string) "absent fields omitted" "{}"
-    (Export.meta_json (Export.meta ()));
+    (Json.to_string (Export.meta ()));
   let r = Registry.create () in
   Registry.Counter.incr (Registry.counter r "a");
   let flat = Export.to_json_string (Registry.snapshot r) in
   Alcotest.(check string) "no meta: flat object unchanged"
     "{\"a\":{\"kind\":\"counter\",\"value\":1}}" flat;
   Alcotest.(check string) "with meta: wrapped"
-    (Printf.sprintf "{\"meta\":%s,\"metrics\":%s}" (Export.meta_json m) flat)
+    (Printf.sprintf "{\"meta\":%s,\"metrics\":%s}" (Json.to_string m) flat)
     (Export.to_json_string ~meta:m (Registry.snapshot r))
 
 (* --- Lineage: synthetic well-formed streams -------------------------------- *)

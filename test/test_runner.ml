@@ -302,6 +302,19 @@ let test_report_json () =
   Alcotest.(check string) "escaping and shape"
     "{\"s\":\"a\\\"b\\\\c\\nd\",\"i\":-3,\"f\":1.5,\"nan\":\"nan\",\"l\":[true,null]}"
     (Report.to_string json);
+  (* Pinned bytes for the edge values: signed zero, integral floats past
+     1e12, non-finite values, the widest int, a control byte and UTF-8
+     (passed through unescaped). *)
+  Alcotest.(check string) "edge values"
+    "[-0,1e+12,3e+14,\"inf\",\"-inf\",4611686018427387903,\"\\u0001\",\"h\xc3\xa9llo \xe2\x9c\x93\"]"
+    (Report.to_string
+       (Report.List
+          [
+            Report.Float (-0.); Report.Float 1e12; Report.Float 3e14;
+            Report.Float Float.infinity; Report.Float Float.neg_infinity;
+            Report.Int max_int; Report.String "\x01";
+            Report.String "h\xc3\xa9llo \xe2\x9c\x93";
+          ]));
   (* Float serialisation must round-trip (it feeds byte-equality checks). *)
   List.iter
     (fun f ->

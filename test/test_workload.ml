@@ -190,22 +190,78 @@ let load file =
   | Ok t -> t
   | Error e -> Alcotest.failf "%s failed to load: %s" file e
 
+let with_seed file seed =
+  match load file with
+  | { Dsl.kind = Dsl.Workload w; _ } as t ->
+      { t with Dsl.kind = Dsl.Workload { w with Dsl.seed } }
+  | _ -> Alcotest.failf "%s is not a workload" file
+
+(* Seeds a float cannot hold: 2^53 + 1, two neighbouring full-width hex
+   seeds and the int64 extremes. *)
+let wide_seeds =
+  [ 0x20000000000001L; 0xDEADBEEFCAFEF00DL; 0xDEADBEEFCAFEF00EL;
+    Int64.min_int; Int64.max_int ]
+
 let test_roundtrip () =
+  let seeded =
+    List.map
+      (fun s -> (Printf.sprintf "kv_skew.scn, seed %Ld" s, with_seed "kv_skew.scn" s))
+      wide_seeds
+  in
   List.iter
-    (fun file ->
-      let t = load file in
+    (fun (label, t) ->
       let printed = Dsl.print t in
       match Dsl.parse printed with
-      | Error e -> Alcotest.failf "%s: reprint does not parse: %s" file e
+      | Error e -> Alcotest.failf "%s: reprint does not parse: %s" label e
       | Ok t' ->
           if t <> t' then
-            Alcotest.failf "%s: parse -> print -> parse not the identity" file;
+            Alcotest.failf "%s: parse -> print -> parse not the identity" label;
           (* print is deterministic, so a second round is byte-stable. *)
           Alcotest.(check string) "print stable" printed (Dsl.print t'))
+    (List.map
+       (fun file -> (file, load file))
+       [
+         "fig4.scn"; "diurnal.scn"; "flash_crowd.scn"; "kv_skew.scn";
+         "trace_replay.scn";
+       ]
+    @ seeded);
+  (* Distinct seeds are distinct scenarios: soak ids and warm keys digest
+     the printed scenario. *)
+  let ids =
+    List.map
+      (fun (_, t) -> Sw_ckpt.Soak.scenario_id t ~shards:None)
+      (("kv_skew.scn", load "kv_skew.scn") :: seeded)
+  in
+  Alcotest.(check int) "distinct seeds, distinct scenario ids"
+    (List.length ids)
+    (List.length (List.sort_uniq compare ids))
+
+(* MD5 of [Dsl.print] for every example: the bytes soak ids and warm-start
+   keys digest, so any drift re-keys every cache. *)
+let test_print_bytes () =
+  let pinned =
     [
-      "fig4.scn"; "diurnal.scn"; "flash_crowd.scn"; "kv_skew.scn";
-      "trace_replay.scn";
+      ("datacenter.scn", "16014db2ffb1ccd9c92b6cd7142d59c2");
+      ("diurnal.scn", "e492d1e1dfd0363f524abff3fd895f49");
+      ("fig4.scn", "b630fb437044f2328efb42a75bc7d59f");
+      ("flash_crowd.scn", "e49058c872b3d6ea1acbbff64ed448ca");
+      ("kv_skew.scn", "1df12f4fa3b097d4284988ccac860419");
+      ("trace_replay.scn", "61318bf7ea7fcd70f0a8286e0c20625c");
     ]
+  in
+  let dir = Filename.dirname (scn "fig4.scn") in
+  let every =
+    List.sort compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".scn")
+         (Array.to_list (Sys.readdir dir)))
+  in
+  Alcotest.(check (list string)) "every example pinned" every (List.map fst pinned);
+  List.iter
+    (fun (file, md5) ->
+      Alcotest.(check string) file md5
+        (Digest.to_hex (Digest.string (Dsl.print (load file)))))
+    pinned
 
 let expect_error ~substring source =
   match Dsl.parse source with
@@ -501,6 +557,7 @@ let () =
       ( "dsl",
         [
           Alcotest.test_case "parse -> print -> parse" `Quick test_roundtrip;
+          Alcotest.test_case "print bytes pinned" `Quick test_print_bytes;
           Alcotest.test_case "error positions and paths" `Quick
             test_error_positions;
           Alcotest.test_case "fig4.scn = bench specs" `Quick
